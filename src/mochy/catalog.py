@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache, reduce
+from typing import Sequence
+
+import numpy as np
 
 SUPPORTED = {(2, 2), (3, 2), (3, 3), (4, 2)}
 
@@ -141,7 +143,7 @@ class MotifCatalog:
             self.__dict__["_index_cache"] = cached
         return cached
 
-    def packed_id_table(self) -> list[int]:
+    def packed_id_table(self) -> np.ndarray:
         """Raw-pattern lookup: packed base-`states` key -> id (0 = invalid).
 
         Only sensible for arity 3, where counting engines classify triples.
@@ -150,7 +152,7 @@ class MotifCatalog:
         if cached is not None:
             return cached
         n = len(self.patterns[0])
-        table = [0] * (self.states**n)
+        table = np.zeros(self.states**n, dtype=np.int64)
         for raw in itertools.product(range(self.states), repeat=n):
             canon = canonicalize(raw, self.arity)
             pos = self._index.get(canon)
@@ -218,6 +220,22 @@ def ternary_refinement_map() -> dict[int, int]:
 # Classification of concrete hyperedge triples
 
 
+def _regions(sizes, w_ab, w_bc, w_ca, c_abc) -> tuple:
+    """The seven region cardinalities, in catalog region order, from the three
+    hyperedge sizes, the pairwise overlaps and the triple intersection by
+    inclusion-exclusion; works on Python ints and on numpy arrays alike."""
+    s_a, s_b, s_c = sizes
+    return (
+        s_a - w_ab - w_ca + c_abc,
+        s_b - w_ab - w_bc + c_abc,
+        s_c - w_ca - w_bc + c_abc,
+        w_ab - c_abc,
+        w_bc - c_abc,
+        w_ca - c_abc,
+        c_abc,
+    )
+
+
 def region_cardinalities(
     a: frozenset | set,
     b: frozenset | set,
@@ -229,34 +247,15 @@ def region_cardinalities(
     """Cardinalities of the seven intersection regions of three distinct
     hyperedges, in catalog region order.
 
-    The triple intersection is found by scanning the smallest hyperedge; the
-    remaining regions follow from the pairwise overlaps by inclusion-exclusion.
+    The remaining regions follow from the triple intersection and the
+    pairwise overlaps by inclusion-exclusion.
     """
     if a == b or b == c or a == c:
         raise ValueError("hyperedges of a motif instance must be distinct")
-    if w_ab is None:
-        w_ab = len(a & b)
-    if w_bc is None:
-        w_bc = len(b & c)
-    if w_ca is None:
-        w_ca = len(c & a)
-    smallest, s1, s2 = sorted((a, b, c), key=len)[0], None, None
-    if smallest is a:
-        s1, s2 = b, c
-    elif smallest is b:
-        s1, s2 = a, c
-    else:
-        s1, s2 = a, b
-    c_abc = sum(1 for v in smallest if v in s1 and v in s2)
-    return (
-        len(a) - w_ab - w_ca + c_abc,
-        len(b) - w_ab - w_bc + c_abc,
-        len(c) - w_ca - w_bc + c_abc,
-        w_ab - c_abc,
-        w_bc - c_abc,
-        w_ca - c_abc,
-        c_abc,
-    )
+    w_ab = len(a & b) if w_ab is None else w_ab
+    w_bc = len(b & c) if w_bc is None else w_bc
+    w_ca = len(c & a) if w_ca is None else w_ca
+    return _regions((len(a), len(b), len(c)), w_ab, w_bc, w_ca, len(a & b & c))
 
 
 @dataclass(frozen=True)
@@ -292,38 +291,47 @@ class MotifMode:
         return enumerate_catalog(3, self.states)
 
     def region_states(
-        self, cards: Sequence[int], sizes: Sequence[int]
-    ) -> tuple[int, ...]:
-        if self.kind == "binary":
-            return tuple(1 if c else 0 for c in cards)
-        if self.kind == "abs":
-            return tuple(0 if c == 0 else (1 if c <= self.theta else 2) for c in cards)
-        if self.kind == "mr":
-            n = sum(cards)
-            return tuple(
-                0 if c == 0 else (1 if c / n <= self.p else 2) for c in cards
-            )
-        agg = {"mean": lambda v: sum(v) / len(v), "max": max, "min": min}[self.sigma]
-        out = []
-        for c, covering in zip(cards, _TRIPLE_SUBSETS):
-            if c == 0:
-                out.append(0)
-            else:
-                ratio = agg([c / sizes[x] for x in covering])
-                out.append(1 if ratio <= self.p else 2)
-        return tuple(out)
+        self, cards: Sequence[np.ndarray], sizes: Sequence[np.ndarray]
+    ) -> list[np.ndarray]:
+        """int8 states of the seven region-cardinality arrays, given the three
+        hyperedge size arrays: 0 if empty, else 1, or 2 when above the
+        threshold. An empty region's ratio is 0, never above p; hr-mean sums
+        its ratios left to right, then divides."""
+        total = reduce(np.add, cards) if self.kind == "mr" else None
+        combine = {"mean": np.add, "max": np.maximum, "min": np.minimum}[self.sigma]
+        states = []
+        for card, covering in zip(cards, _TRIPLE_SUBSETS):
+            state = (card > 0).view(np.int8)
+            if self.kind == "abs":
+                state = state + (card > self.theta).view(np.int8)
+            elif self.kind == "mr":
+                state = state + (card / total > self.p).view(np.int8)
+            elif self.kind == "hr":
+                ratio = card / sizes[covering[0]]
+                for x in covering[1:]:
+                    combine(ratio, card / sizes[x], out=ratio)
+                if self.sigma == "mean":
+                    ratio /= len(covering)
+                state = state + (ratio > self.p).view(np.int8)
+            states.append(state)
+        return states
 
 
 BINARY = MotifMode("binary")
 TERNARY = MotifMode("abs", theta=1)
 
 
-def _check_connected(cards: Sequence[int]) -> None:
-    ab = cards[3] + cards[6]
-    bc = cards[4] + cards[6]
-    ca = cards[5] + cards[6]
-    if (ab > 0) + (bc > 0) + (ca > 0) < 2:
-        raise ValueError("hyperedge triple is not connected")
+def classify_batch(mode: MotifMode, sizes, w_ab, w_bc, w_ca, c_abc) -> np.ndarray:
+    """Motif ids of n connected triples of distinct hyperedges (a, b, c).
+
+    sizes is the three size arrays; w_ab, w_bc, w_ca the pairwise overlaps and
+    c_abc the triple intersections, each an integer array of length n.
+    """
+    key = np.zeros(len(c_abc), dtype=np.intp)
+    for state in mode.region_states(_regions(sizes, w_ab, w_bc, w_ca, c_abc), sizes):
+        key *= mode.states
+        key += state
+    return mode.catalog().packed_id_table()[key]
 
 
 def classify(
@@ -337,35 +345,8 @@ def classify(
 ) -> int:
     """Catalog id of the motif describing the connected triple (a, b, c)."""
     cards = region_cardinalities(a, b, c, w_ab, w_bc, w_ca)
-    _check_connected(cards)
-    states = mode.region_states(cards, (len(a), len(b), len(c)))
-    return mode.catalog().id_of(states)
-
-
-def make_classifier(mode: MotifMode) -> Callable:
-    """Fast classification closure for counting engines.
-
-    Returns f(cards, sizes) -> motif id, backed by a packed lookup table; the
-    caller guarantees the triple is connected and distinct.
-    """
-    table = mode.catalog().packed_id_table()
-    s = mode.states
-    if mode.kind == "binary":
-
-        def classify_binary(cards, sizes):
-            key = 0
-            for c in cards:
-                key = key + key + (1 if c else 0)
-            return table[key]
-
-        return classify_binary
-
-    region_states = mode.region_states
-
-    def classify_multistate(cards, sizes):
-        key = 0
-        for state in region_states(cards, sizes):
-            key = key * s + state
-        return table[key]
-
-    return classify_multistate
+    if sum(cards[r] + cards[6] > 0 for r in (3, 4, 5)) < 2:
+        raise ValueError("hyperedge triple is not connected")
+    sizes = [np.array([len(x)]) for x in (a, b, c)]
+    states = mode.region_states([np.array([card]) for card in cards], sizes)
+    return mode.catalog().id_of([int(state[0]) for state in states])

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
@@ -36,7 +37,7 @@ from .hypergraph import (
     load_hypergraph_path,
 )
 from .linegraph import build_line_graph, dump_line_graph, hyperedge_degrees
-from .nullmodel import NullModelConfig, null_counts
+from .nullmodel import NullModelConfig, null_counts, randomize_chung_lu
 from .profiles import (
     characteristic_profile,
     hyperedge_profile,
@@ -64,10 +65,6 @@ class RunManifest:
     version: str = __version__
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -76,20 +73,14 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-class _Output:
-    """Writes to a path or stdout; tracks paths for manifest checksums."""
-
-    def __init__(self, path: str | None):
-        self.path = None if path in (None, "-") else path
-
-    def __enter__(self):
-        self.handle = open(self.path, "w", encoding="utf-8") if self.path else sys.stdout
-        return self.handle
-
-    def __exit__(self, *exc):
-        if self.path:
-            self.handle.close()
-        return False
+@contextmanager
+def _output(path: str | None):
+    """A text handle on the path, or stdout for None or "-"."""
+    if path in (None, "-"):
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
 
 
 def _emit_manifest(manifest: RunManifest, out_path: str | None) -> None:
@@ -101,6 +92,29 @@ def _emit_manifest(manifest: RunManifest, out_path: str | None) -> None:
             fh.write(payload + "\n")
     else:
         print(payload, file=sys.stderr)
+
+
+def _finish(args, manifest: RunManifest, start: float | None = None) -> int:
+    """Record --out in the manifest, stamp the elapsed time, emit it."""
+    if args.out and args.out != "-":
+        manifest.outputs[args.out] = ""
+    if start is not None:
+        manifest.elapsed_seconds = time.perf_counter() - start
+    _emit_manifest(manifest, args.out)
+    return 0
+
+
+def _finish_counts(args, command: str, cv: CountVector, start: float) -> int:
+    """Write a count vector to --out and emit the run's manifest."""
+    manifest = _manifest_for(args, command)
+    catalog = cv.mode.catalog()
+    rows = [
+        {"id": t, "pattern": pattern, "count": count}
+        for t, pattern, count in zip(catalog.ids, _patterns(catalog), cv.counts)
+    ]
+    with _output(args.out) as out:
+        _write_rows(out, args.json, rows, {"meta": cv.meta}, "counts")
+    return _finish(args, manifest, start)
 
 
 def _default_threads() -> int:
@@ -124,36 +138,39 @@ def _mode_from_args(args) -> MotifMode:
     return MotifMode("hr", p=args.p, sigma=variant.split("-", 1)[1])
 
 
-def _write_counts(cv: CountVector, out, as_json: bool) -> None:
-    catalog = cv.mode.catalog()
+def _patterns(catalog) -> list[str]:
+    return ["".join(map(str, pattern)) for pattern in catalog.patterns]
+
+
+def _write_rows(out, as_json: bool, rows: list[dict], document: dict, key: str) -> None:
+    """Rows as CSV under a header of their keys, or as JSON in document[key]."""
     if as_json:
-        rows = [
-            {"id": t, "pattern": "".join(map(str, catalog.patterns[t - 1])), "count": cv.counts[t - 1]}
-            for t in catalog.ids
-        ]
-        json.dump({"meta": cv.meta, "counts": rows}, out, indent=2)
+        json.dump({**document, key: rows}, out, indent=2)
         out.write("\n")
-    else:
-        out.write("id,pattern,count\n")
-        for t in catalog.ids:
-            pattern = "".join(map(str, catalog.patterns[t - 1]))
-            out.write(f"{t},{pattern},{_fmt(cv.counts[t - 1])}\n")
+        return
+    out.write(",".join(rows[0]) + "\n")
+    for row in rows:
+        out.write(",".join(map(_cell, row.values())) + "\n")
+
+
+def _cell(value) -> str:
+    """A CSV cell: flags as 0/1, text as is, numbers with 17 significant digits."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    return f"{value:.17g}"
 
 
 def _run_counter(args, h, mode: MotifMode, seed: int) -> CountVector:
+    if args.algo.startswith("otf-"):
+        budget = int(args.budget * sum(hyperedge_degrees(h, workers=args.threads)))
+        return count_otf(h, args.samples, budget, seed, args.algo[4:], mode, args.threads)
+    lg = build_line_graph(h, workers=args.threads)
     if args.algo == "exact":
-        lg = build_line_graph(h, workers=args.threads)
         return count_exact(h, lg, mode, workers=args.threads)
-    if args.algo == "edge-sample":
-        lg = build_line_graph(h, workers=args.threads)
-        return count_sample_hyperedge(h, lg, args.samples, seed, mode, args.threads)
-    if args.algo == "wedge-sample":
-        lg = build_line_graph(h, workers=args.threads)
-        return count_sample_hyperwedge(h, lg, args.samples, seed, mode, args.threads)
-    variant = "basic" if args.algo == "otf-basic" else "advanced"
-    entries = sum(hyperedge_degrees(h, workers=args.threads))
-    budget = int(args.budget * entries)
-    return count_otf(h, args.samples, budget, seed, variant, mode, args.threads)
+    sample = count_sample_hyperedge if args.algo == "edge-sample" else count_sample_hyperwedge
+    return sample(h, lg, args.samples, seed, mode, args.threads)
 
 
 def _manifest_for(args, command: str) -> RunManifest:
@@ -176,16 +193,8 @@ def _manifest_for(args, command: str) -> RunManifest:
 def cmd_count(args) -> int:
     start = time.perf_counter()
     h = load_hypergraph_path(args.input)
-    mode = _mode_from_args(args)
-    cv = _run_counter(args, h, mode, args.seed)
-    manifest = _manifest_for(args, "count")
-    with _Output(args.out) as out:
-        _write_counts(cv, out, args.json)
-    if args.out and args.out != "-":
-        manifest.outputs[args.out] = ""
-    manifest.elapsed_seconds = time.perf_counter() - start
-    _emit_manifest(manifest, args.out)
-    return 0
+    cv = _run_counter(args, h, _mode_from_args(args), args.seed)
+    return _finish_counts(args, "count", cv, start)
 
 
 def cmd_cp(args) -> int:
@@ -206,37 +215,24 @@ def cmd_cp(args) -> int:
     sig = significance(counts, null_mean, epsilon=args.epsilon)
     cp = characteristic_profile(sig)
     catalog = mode.catalog()
+    rows = [
+        {
+            "id": t,
+            "pattern": pattern,
+            "count": count,
+            "null_count": null_count,
+            "delta": delta,
+            "cp": value,
+        }
+        for t, pattern, count, null_count, delta, value in zip(
+            catalog.ids, _patterns(catalog), counts.counts, null_mean.counts, sig.delta, cp.cp
+        )
+    ]
     manifest = _manifest_for(args, "cp")
     manifest.outputs = {}
-    with _Output(args.out) as out:
-        if args.json:
-            rows = [
-                {
-                    "id": t,
-                    "pattern": "".join(map(str, catalog.patterns[t - 1])),
-                    "count": counts.counts[t - 1],
-                    "null_count": null_mean.counts[t - 1],
-                    "delta": sig.delta[t - 1],
-                    "cp": cp.cp[t - 1],
-                }
-                for t in catalog.ids
-            ]
-            json.dump({"meta": counts.meta, "profile": rows}, out, indent=2)
-            out.write("\n")
-        else:
-            out.write("id,pattern,count,null_count,delta,cp\n")
-            for t in catalog.ids:
-                pattern = "".join(map(str, catalog.patterns[t - 1]))
-                out.write(
-                    f"{t},{pattern},{_fmt(counts.counts[t - 1])},"
-                    f"{_fmt(null_mean.counts[t - 1])},{_fmt(sig.delta[t - 1])},"
-                    f"{_fmt(cp.cp[t - 1])}\n"
-                )
-    if args.out and args.out != "-":
-        manifest.outputs[args.out] = ""
-    manifest.elapsed_seconds = time.perf_counter() - start
-    _emit_manifest(manifest, args.out)
-    return 0
+    with _output(args.out) as out:
+        _write_rows(out, args.json, rows, {"meta": counts.meta}, "profile")
+    return _finish(args, manifest, start)
 
 
 def cmd_enumerate(args) -> int:
@@ -245,22 +241,15 @@ def cmd_enumerate(args) -> int:
     mode = _mode_from_args(args)
     lg = build_line_graph(h, workers=args.threads)
     manifest = _manifest_for(args, "enumerate")
-    with _Output(args.out) as out:
+    with _output(args.out) as out:
         out.write("i,j,k,motif_id\n")
         enumerate_instances(
             h, lg, lambda i, j, k, t: out.write(f"{i},{j},{k},{t}\n"), mode
         )
-    if args.out and args.out != "-":
-        manifest.outputs[args.out] = ""
-    manifest.elapsed_seconds = time.perf_counter() - start
-    _emit_manifest(manifest, args.out)
-    return 0
+    return _finish(args, manifest, start)
 
 
 def cmd_randomize(args) -> int:
-    from .nullmodel import randomize_chung_lu
-    from .counting import _stream
-
     start = time.perf_counter()
     h = load_hypergraph_path(args.input)
     manifest = _manifest_for(args, "randomize")
@@ -277,28 +266,14 @@ def cmd_randomize(args) -> int:
 
 def cmd_catalog(args) -> int:
     catalog = enumerate_catalog(args.arity, args.states)
-    with _Output(args.out) as out:
-        if args.json:
-            rows = [
-                {
-                    "id": t,
-                    "pattern": "".join(map(str, catalog.patterns[t - 1])),
-                    "open": catalog.open_flags[t - 1],
-                }
-                for t in catalog.ids
-            ]
-            json.dump({"arity": args.arity, "states": args.states, "patterns": rows}, out, indent=2)
-            out.write("\n")
-        else:
-            out.write("id,pattern,open\n")
-            for t in catalog.ids:
-                pattern = "".join(map(str, catalog.patterns[t - 1]))
-                out.write(f"{t},{pattern},{int(catalog.open_flags[t - 1])}\n")
-    manifest = _manifest_for(args, "catalog")
-    if args.out and args.out != "-":
-        manifest.outputs[args.out] = ""
-    _emit_manifest(manifest, args.out)
-    return 0
+    rows = [
+        {"id": t, "pattern": pattern, "open": is_open}
+        for t, pattern, is_open in zip(catalog.ids, _patterns(catalog), catalog.open_flags)
+    ]
+    with _output(args.out) as out:
+        document = {"arity": args.arity, "states": args.states}
+        _write_rows(out, args.json, rows, document, "patterns")
+    return _finish(args, _manifest_for(args, "catalog"))
 
 
 def cmd_profile_node(args) -> int:
@@ -310,14 +285,7 @@ def cmd_profile_node(args) -> int:
     except ValueError:
         raise EmptyInputError(f"node label {args.node} not present") from None
     cv = node_profile(h, v, kind=args.kind, mode=mode)
-    manifest = _manifest_for(args, "profile-node")
-    with _Output(args.out) as out:
-        _write_counts(cv, out, args.json)
-    if args.out and args.out != "-":
-        manifest.outputs[args.out] = ""
-    manifest.elapsed_seconds = time.perf_counter() - start
-    _emit_manifest(manifest, args.out)
-    return 0
+    return _finish_counts(args, "profile-node", cv, start)
 
 
 def cmd_profile_edge(args) -> int:
@@ -326,14 +294,7 @@ def cmd_profile_edge(args) -> int:
     mode = _mode_from_args(args)
     lg = build_line_graph(h, workers=args.threads)
     cv = hyperedge_profile(h, lg, args.edge, mode)
-    manifest = _manifest_for(args, "profile-edge")
-    with _Output(args.out) as out:
-        _write_counts(cv, out, args.json)
-    if args.out and args.out != "-":
-        manifest.outputs[args.out] = ""
-    manifest.elapsed_seconds = time.perf_counter() - start
-    _emit_manifest(manifest, args.out)
-    return 0
+    return _finish_counts(args, "profile-edge", cv, start)
 
 
 def cmd_recommend_samples(args) -> int:
@@ -346,7 +307,7 @@ def cmd_recommend_samples(args) -> int:
         estimator=args.estimator,
         is_open=args.open,
     )
-    with _Output(args.out) as out:
+    with _output(args.out) as out:
         out.write(f"{n}\n")
     manifest = _manifest_for(args, "recommend-samples")
     _emit_manifest(manifest, args.out)
@@ -367,7 +328,7 @@ def cmd_stats(args) -> int:
         "max_line_degree": max(degrees) if degrees else 0,
     }
     manifest = _manifest_for(args, "stats")
-    with _Output(args.out) as out:
+    with _output(args.out) as out:
         if args.json:
             json.dump(stats, out, indent=2)
             out.write("\n")
@@ -379,11 +340,7 @@ def cmd_stats(args) -> int:
         with open(args.linegraph_out, "w", encoding="utf-8") as fh:
             dump_line_graph(lg, fh)
         manifest.outputs[args.linegraph_out] = ""
-    if args.out and args.out != "-":
-        manifest.outputs[args.out] = ""
-    manifest.elapsed_seconds = time.perf_counter() - start
-    _emit_manifest(manifest, args.out)
-    return 0
+    return _finish(args, manifest, start)
 
 
 def cmd_convert(args) -> int:
@@ -392,14 +349,11 @@ def cmd_convert(args) -> int:
     with open(args.simplices, encoding="utf-8") as fh:
         simplices = fh.readlines()
     edges = convert_nverts_format(nverts, simplices)
-    with _Output(args.out) as out:
+    with _output(args.out) as out:
         for e in edges:
             out.write(" ".join(map(str, e)) + "\n")
     manifest = _manifest_for(args, "convert")
-    if args.out and args.out != "-":
-        manifest.outputs[args.out] = ""
-    _emit_manifest(manifest, args.out)
-    return 0
+    return _finish(args, manifest)
 
 
 def _add_common(p, with_mode=True, with_threads=True):

@@ -7,8 +7,12 @@ ids; the original labels are kept for round-tripping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import IO, Iterable, Sequence
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -30,21 +34,18 @@ class Hypergraph:
 
     Attributes:
         edges: per hyperedge, a sorted tuple of member node ids.
-        edge_sets: the same memberships as frozensets (fast intersection).
         incidence: per node id, sorted tuple of incident hyperedge indices.
         labels: node id -> original input label.
+        edge_sets: the same memberships as frozensets (built on first use).
     """
 
     edges: tuple[tuple[int, ...], ...]
     incidence: tuple[tuple[int, ...], ...]
     labels: tuple[int, ...]
-    edge_sets: tuple[frozenset[int], ...] = field(repr=False, default=())
 
-    def __post_init__(self):
-        if not self.edge_sets:
-            object.__setattr__(
-                self, "edge_sets", tuple(frozenset(e) for e in self.edges)
-            )
+    @cached_property
+    def edge_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(e) for e in self.edges)
 
     @property
     def num_nodes(self) -> int:
@@ -53,6 +54,24 @@ class Hypergraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def line_degrees(self) -> tuple[int, ...]:
+        """Per hyperedge, the number of other hyperedges sharing a node with
+        it (its line-graph degree); computed once per hypergraph."""
+        inc = self.incidence
+        return tuple(len(set().union(*(inc[v] for v in e))) - 1 for e in self.edges)
+
+    @cached_property
+    def member_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sizes, offsets, keys): hyperedge i's members are stored, sorted, at
+        keys[offsets[i]:offsets[i + 1]] as i * num_nodes + node, so a single
+        searchsorted on keys tests many (hyperedge, node) memberships."""
+        sizes = np.fromiter(map(len, self.edges), np.int32, count=self.num_edges)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        keys = np.repeat(np.arange(self.num_edges, dtype=np.int64) * self.num_nodes, sizes)
+        keys += np.fromiter(chain.from_iterable(self.edges), np.int64, count=len(keys))
+        return sizes, offsets, keys
 
     def edge_size(self, i: int) -> int:
         return len(self.edges[i])

@@ -1,44 +1,120 @@
 """Weighted line graph of a hypergraph, plus a budget-bounded neighbor store.
 
 Hyperedges become vertices; two are adjacent iff they share a node, with
-edge weight equal to the overlap size. The memoized store recomputes
-neighborhoods on demand under a total-entry budget, evicting lowest-degree
-hyperedges first (ties broken toward the lower index).
+edge weight equal to the overlap size. The line graph is stored in CSR form
+(row pointers, sorted neighbor indices, overlap weights) and built in one
+sequential numpy pass over the incidence lists, so it does not depend on any
+worker count. The memoized store recomputes neighborhoods on demand under a
+total-entry budget, evicting lowest-degree hyperedges first (ties broken
+toward the lower index).
 """
 
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import Iterator
+
+import numpy as np
 
 from .hypergraph import Hypergraph
 
+# Pairs per block while the line graph is built; bounds its temporaries.
+BUILD_BLOCK = 1 << 16
 
-@dataclass(frozen=True)
+
+def blocks(cost: np.ndarray, limit: int) -> Iterator[slice]:
+    """Consecutive slices of items whose costs add up to at most `limit`; an
+    item that alone costs more is a slice of its own."""
+    ends = np.cumsum(cost)
+    lo = 0
+    while lo < len(ends):
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + limit, "right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
+def find(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of query in the sorted, non-empty keys (clipped to the last
+    one) and whether each query is present."""
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return pos, keys[pos] == query
+
+
+def ragged_range(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every position in [starts[o], stops[o]) for every owner o, in owner
+    then position order, as one (owner, position) pair of arrays; positions
+    keep the dtype of `starts`."""
+    starts = np.asarray(starts)
+    lengths = stops - starts
+    owner = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    offset = np.repeat(starts - np.cumsum(lengths, dtype=starts.dtype) + lengths, lengths)
+    return owner, offset + np.arange(len(owner), dtype=offset.dtype)
+
+
+def ragged_ranges(
+    starts: np.ndarray, stops: np.ndarray, block: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """ragged_range(starts, stops) in pieces of at most `block` pairs."""
+    for group in blocks(stops - starts, block):
+        owner, pos = ragged_range(starts[group], stops[group])
+        owner += group.start
+        for first in range(0, len(owner), block):
+            yield owner[first : first + block], pos[first : first + block]
+
+
+@dataclass(frozen=True, eq=False)
 class LineGraph:
-    """Per-hyperedge neighbor maps (adjacent index -> overlap weight)."""
+    """CSR line graph: row i's neighbors are indices[indptr[i]:indptr[i + 1]],
+    in ascending order, with overlap sizes in the same positions of weights.
+    """
 
-    neighbors: tuple[dict[int, int], ...]
-    sorted_neighbors: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
 
-    def __post_init__(self):
-        if not self.sorted_neighbors:
-            object.__setattr__(
-                self,
-                "sorted_neighbors",
-                tuple(tuple(sorted(n)) for n in self.neighbors),
-            )
+    @property
+    def num_edges(self) -> int:
+        return len(self.indptr) - 1
 
     @property
     def wedge_count(self) -> int:
-        return sum(len(n) for n in self.neighbors) // 2
+        return len(self.indices) // 2
 
     def degrees(self) -> list[int]:
-        return [len(n) for n in self.neighbors]
+        return np.diff(self.indptr).tolist()
 
-    def weight(self, i: int, j: int) -> int:
-        return self.neighbors[i].get(j, 0)
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """Row-major pair key i * num_edges + j of every entry, hence sorted."""
+        n = self.num_edges
+        dtype = np.int32 if n * n < 1 << 31 else np.int64
+        keys = np.repeat(np.arange(n, dtype=dtype) * n, np.diff(self.indptr))
+        keys += self.indices
+        return keys
+
+    def weight(self, i, j):
+        """Overlap of hyperedges i and j (0 if disjoint); scalars or arrays."""
+        query = (np.asarray(i, dtype=np.int64) * self.num_edges + j).astype(self.keys.dtype)
+        if not len(self.keys):
+            return np.zeros_like(query)
+        pos, found = find(self.keys, query)
+        return np.where(found, self.weights[pos], 0)
+
+    @cached_property
+    def neighbors(self) -> tuple[dict[int, int], ...]:
+        """Per hyperedge, a map adjacent index -> overlap weight (built on first use)."""
+        bounds = self.indptr.tolist()
+        idx, w = self.indices.tolist(), self.weights.tolist()
+        return tuple(dict(zip(idx[a:b], w[a:b])) for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def sorted_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per hyperedge, its adjacent indices in ascending order (built on first use)."""
+        return tuple(tuple(nbrs) for nbrs in self.neighbors)
 
 
 def hyperedge_neighbors(h: Hypergraph, i: int) -> dict[int, int]:
@@ -54,56 +130,68 @@ def hyperedge_neighbors(h: Hypergraph, i: int) -> dict[int, int]:
 
 
 def hyperedge_degrees(h: Hypergraph, workers: int = 1) -> list[int]:
-    """Line-graph degree of every hyperedge, without storing neighbor maps."""
+    """Line-graph degree of every hyperedge, without storing neighbor maps.
 
-    def degree(i: int) -> int:
-        seen: set[int] = set()
-        for v in h.edges[i]:
-            seen.update(h.incidence[v])
-        return len(seen) - 1 if seen else 0
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(degree, range(h.num_edges)))
-    return [degree(i) for i in range(h.num_edges)]
+    The degrees are computed once per hypergraph and cached on it; `workers`
+    is accepted for compatibility and has no effect.
+    """
+    return list(h.line_degrees)
 
 
 def build_line_graph(h: Hypergraph, workers: int = 1) -> LineGraph:
     """Materialize the full weighted line graph.
 
-    Each hyperedge i scans incident edges with larger index, so every
-    hyperwedge is accumulated once and mirrored afterwards; the result is
-    identical for any worker count.
+    Two hyperedges sharing a node v make a pair in v's ascending incidence
+    list, once per shared node. The pairs are written as row-major keys
+    i * |E| + j (i < j) into one array and sorted in place: runs of equal
+    keys are the upper triangle's entries, and their lengths are the overlap
+    weights. Mirroring places each entry (i, j) in row i after the row's
+    lower entries, and (j, i) in row j in ascending i. `workers` is accepted
+    for compatibility and has no effect.
     """
-
-    def upper_neighbors(i: int) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for v in h.edges[i]:
-            for j in h.incidence[v]:
-                if j > i:
-                    out[j] = out.get(j, 0) + 1
-        return out
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            upper = list(pool.map(upper_neighbors, range(h.num_edges)))
-    else:
-        upper = [upper_neighbors(i) for i in range(h.num_edges)]
-
-    neighbors: list[dict[int, int]] = [dict(u) for u in upper]
-    for i, u in enumerate(upper):
-        for j, w in u.items():
-            neighbors[j][i] = w
-    return LineGraph(neighbors=tuple(neighbors))
+    n = h.num_edges
+    dtype = np.int32 if n * n < 1 << 31 else np.int64
+    run = np.fromiter(map(len, h.incidence), np.int64, count=h.num_nodes)
+    inc = np.fromiter(chain.from_iterable(h.incidence), dtype, count=int(run.sum()))
+    keys = np.empty(int((run * (run - 1) // 2).sum()), dtype)
+    # each incidence entry pairs with the later entries of its node's run
+    run_end = np.repeat(np.cumsum(run), run)
+    at = 0
+    for owner, pos in ragged_ranges(np.arange(1, len(inc) + 1), run_end, BUILD_BLOCK):
+        keys[at : at + len(owner)] = inc[owner] * n + inc[pos]
+        at += len(owner)
+    del run, inc, run_end
+    keys.sort()
+    starts = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    upper_w = np.diff(first, append=len(keys)).astype(np.int32)
+    rows, cols = np.divmod(keys[first], n)
+    del keys, starts, first
+    low, up = np.bincount(cols, minlength=n), np.bincount(rows, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(low + up)])
+    indptr = indptr.astype(np.int32 if indptr[-1] < 1 << 31 else np.int64)
+    indices = np.empty(indptr[-1], np.int32)
+    weights = np.empty(indptr[-1], np.int32)
+    entry = np.arange(len(rows), dtype=indptr.dtype)
+    # (i, j) follows the lower entries of rows 0..i and the upper ones before it
+    pos = np.cumsum(low, dtype=indptr.dtype)[rows] + entry
+    indices[pos], weights[pos] = cols, upper_w
+    # (j, i), in ascending (j, i), follows the upper entries of rows 0..j-1
+    order = np.argsort(cols * n + rows)
+    del pos, cols
+    pos = np.repeat(np.cumsum(up, dtype=indptr.dtype) - up, low) + entry
+    indices[pos], weights[pos] = rows[order], upper_w[order]
+    return LineGraph(indptr=indptr, indices=indices, weights=weights)
 
 
 def dump_line_graph(lg: LineGraph, out) -> None:
     """CSV rows "i,j,weight" with i < j."""
     out.write("i,j,weight\n")
-    for i, nbrs in enumerate(lg.neighbors):
-        for j in sorted(nbrs):
-            if j > i:
-                out.write(f"{i},{j},{nbrs[j]}\n")
+    rows, cols = np.divmod(lg.keys, lg.num_edges)
+    upper = rows < cols
+    for i, j, w in zip(rows[upper].tolist(), cols[upper].tolist(), lg.weights[upper].tolist()):
+        out.write(f"{i},{j},{w}\n")
 
 
 class MemoizedNeighborStore:

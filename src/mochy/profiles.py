@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import BINARY, MotifMode, make_classifier
-from .counting import CountVector, _triple_cards, count_exact
+from .catalog import BINARY, MotifMode
+from .counting import CountVector, _edge_triples, _tally, count_exact
 from .hypergraph import Hypergraph, from_edge_sets
 from .linegraph import LineGraph, build_line_graph
 
@@ -72,38 +72,16 @@ def relative_counts(counts: CountVector, null: CountVector) -> tuple[float, ...]
 def hyperedge_profile(
     h: Hypergraph, lg: LineGraph, e: int, mode: MotifMode = BINARY
 ) -> CountVector:
-    """Counts of motif instances containing hyperedge e, each exactly once.
+    """Counts of motif instances containing hyperedge e, each exactly once,
+    as Python ints.
 
     Instances are pairs of e's neighbors, plus triples closed through a
     neighbor j against some k adjacent to j but not to e.
     """
     if not 0 <= e < h.num_edges:
         raise IndexError(f"hyperedge index {e} out of range (|E|={h.num_edges})")
-    classifier = make_classifier(mode)
-    counts = [0] * len(mode.catalog())
-    neighbors = lg.neighbors
-    nbrs_e = neighbors[e]
-    order = lg.sorted_neighbors[e]
-    for a in range(len(order) - 1):
-        j = order[a]
-        w_ej = nbrs_e[j]
-        nbrs_j = neighbors[j]
-        for b in range(a + 1, len(order)):
-            k = order[b]
-            cards, sizes = _triple_cards(
-                h, e, j, k, w_ej, nbrs_e[k], nbrs_j.get(k, 0)
-            )
-            counts[classifier(cards, sizes) - 1] += 1
-    for j, w_ej in nbrs_e.items():
-        for k, w_jk in neighbors[j].items():
-            if k != e and k not in nbrs_e:
-                cards, sizes = _triple_cards(h, e, j, k, w_ej, 0, w_jk)
-                counts[classifier(cards, sizes) - 1] += 1
-    return CountVector(
-        mode=mode,
-        counts=[float(c) for c in counts],
-        meta={"algorithm": "hyperedge-profile", "hyperedge": e},
-    )
+    counts = _tally(h, mode, _edge_triples(lg, np.array([e])))
+    return CountVector(mode, counts, {"algorithm": "hyperedge-profile", "hyperedge": e})
 
 
 @dataclass(frozen=True)
@@ -151,7 +129,7 @@ def ego_network(h: Hypergraph, v: int, kind: str = "radial") -> EgoNetwork:
 def node_profile(
     h: Hypergraph, v: int, kind: str = "radial", mode: MotifMode = BINARY
 ) -> CountVector:
-    """Exact motif counts inside an ego-network of node v."""
+    """Exact motif counts (Python ints) inside an ego-network of node v."""
     ego = ego_network(h, v, kind)
     sub = ego.hypergraph
     out = count_exact(sub, build_line_graph(sub), mode)

@@ -1,0 +1,75 @@
+"""Golden CLI outputs: byte identity at equal seeds on a small seeded graph.
+
+The digests were produced by the per-triple reference implementation that the
+batched kernel replaced; any change to counting, sampling draws, on-the-fly
+access order or output formatting shows up here as a different sha256.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from mochy.cli import main
+
+
+def golden_input() -> str:
+    """35 small edges plus one 14-node hub edge over 30 labels."""
+    rng = random.Random(7)
+    edges = {frozenset(rng.sample(range(30), 14))}
+    while len(edges) < 36:
+        edges.add(frozenset(rng.sample(range(30), rng.randint(2, 6))))
+    rows = sorted(sorted(e) for e in edges)
+    rng.shuffle(rows)
+    return "".join(" ".join(map(str, e)) + "\n" for e in rows)
+
+
+SAMPLING = ["--seed", "3", "--threads", "2"]
+# otf-basic and otf-advanced must equal wedge-sample byte for byte.
+WEDGE = "9e505a104b4ffd84cd95332470138ab3d1f844e3435cd971f7c72d3776fdd0a8"
+
+GOLDEN = {
+    "exact-binary": (
+        ["count", "--algo", "exact"],
+        "a506f70b4133843e7135ac1906df2ee053a66a196197c76f59639db4bd4c2fc2",
+    ),
+    "exact-abs": (
+        ["count", "--motifs", "ternary", "--variant", "abs", "--theta", "2"],
+        "cdab0c5e06aa6d59675184844d99a8940337c0a6e939d491c3144fadcd3d9061",
+    ),
+    "exact-mr": (
+        ["count", "--motifs", "ternary", "--variant", "mr", "--p", "0.3"],
+        "2b8560fcff0d3588cb183bd9806e7509cdd664d9519f160710c2cee9d42a9807",
+    ),
+    "exact-hr-mean": (
+        ["count", "--motifs", "ternary", "--variant", "hr-mean"],
+        "0034197f690c8374907400ad998a7d5f15761106c6b8e2f54b4ced78f730fd62",
+    ),
+    "edge-sample": (
+        ["count", "--algo", "edge-sample", "-s", "30", *SAMPLING],
+        "72b55087dd593a8d1fb9414320f69ffcfdc6ce63a1783066e0f6eb8992654e8c",
+    ),
+    "wedge-sample": (["count", "--algo", "wedge-sample", "-r", "40", *SAMPLING], WEDGE),
+    "otf-basic": (
+        ["count", "--algo", "otf-basic", "-r", "40", "--budget", "0.3", *SAMPLING],
+        WEDGE,
+    ),
+    "otf-advanced": (
+        ["count", "--algo", "otf-advanced", "-r", "40", "--budget", "0.3", *SAMPLING],
+        WEDGE,
+    ),
+    "enumerate": (
+        ["enumerate"],
+        "9bfaa3cae1bc7805b1d192b26d97a5e8c875d121cf53f58e43d1ac5beb32c7c7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_bytes_are_pinned(name, tmp_path):
+    argv, digest = GOLDEN[name]
+    src = tmp_path / "in.txt"
+    src.write_text(golden_input())
+    out = tmp_path / "out.csv"
+    assert main([argv[0], str(src), *argv[1:], "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,0 +1,239 @@
+"""Property tests of the batched triple kernel against independent oracles.
+
+Every test patches the generators' chunk size to a few triples, so chunk
+boundaries fall inside a hyperedge's neighbor row, inside a hyperwedge's
+triples and inside the member lists scanned for triple intersections.
+"""
+
+from bisect import bisect_right
+from itertools import combinations, permutations
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from mochy import (
+    MotifMode,
+    build_line_graph,
+    classify,
+    count_exact,
+    count_otf,
+    count_sample_hyperedge,
+    count_sample_hyperwedge,
+    enumerate_instances,
+    from_edge_sets,
+)
+from mochy import linegraph
+from mochy.linegraph import LineGraph, hyperedge_neighbors
+from mochy import counting
+from mochy.counting import _draws, _stream
+
+from conftest import oracle_count_vector, oracle_regions
+
+KERNEL = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def hypergraphs(draw):
+    """Up to 10 small hyperedges plus up to two hubs of 60 or more nodes."""
+    num_nodes = draw(st.integers(60, 90))
+    node = st.integers(0, num_nodes - 1)
+    small = st.frozensets(node, min_size=1, max_size=6)
+    hub = st.integers(60, num_nodes).flatmap(
+        lambda size: st.permutations(range(num_nodes)).map(lambda p: frozenset(p[:size]))
+    )
+    edges = draw(st.lists(small, min_size=3, max_size=10, unique=True))
+    edges += draw(st.lists(hub, max_size=2, unique=True))
+    return from_edge_sets(sorted(set(edges), key=sorted))
+
+
+chunks = st.integers(1, 9)
+ternary_modes = st.one_of(
+    st.builds(MotifMode, st.just("mr"), p=st.sampled_from([0.1, 0.25, 0.5, 0.7])),
+    st.builds(
+        MotifMode,
+        st.just("hr"),
+        p=st.sampled_from([0.1, 0.3, 0.5, 0.8]),
+        sigma=st.sampled_from(["mean", "max", "min"]),
+    ),
+)
+
+
+COVERING = ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2), (0, 1, 2))
+
+
+def oracle_id(a, b, c, mode):
+    """Catalog id from sets alone: each region's ratio to the node union (mr)
+    or the sigma of its ratios to the covering hyperedges (hr), minimized
+    over the orderings of (a, b, c)."""
+
+    def states(x, y, z):
+        sizes, union = (len(x), len(y), len(z)), len(x | y | z)
+        out = []
+        for card, covering in zip(oracle_regions(x, y, z), COVERING):
+            ratios = [card / sizes[q] for q in covering]
+            ratio = card / union if mode.kind == "mr" else {
+                "mean": sum(ratios) / len(ratios), "max": max(ratios), "min": min(ratios)
+            }[mode.sigma]
+            out.append(0 if card == 0 else 1 if ratio <= mode.p else 2)
+        return tuple(out)
+
+    pattern = min(states(*order) for order in permutations((a, b, c)))
+    return mode.catalog().patterns.index(pattern) + 1
+
+
+def neighbors(h, i):
+    return [j for j in range(h.num_edges) if j != i and h.edge_sets[i] & h.edge_sets[j]]
+
+
+def reference_instances(h, mode):
+    """(i, j, k, id) in the engines' order, from sets and the scalar classify:
+    row i, then neighbor pairs j < k of i, kept iff e_j, e_k are disjoint or
+    i is the smallest index of a closed triple."""
+    sets = h.edge_sets
+    for i in range(h.num_edges):
+        for j, k in combinations(neighbors(h, i), 2):
+            if not sets[j] & sets[k] or i < j:
+                yield i, j, k, classify(sets[i], sets[j], sets[k], mode)
+
+
+def reference_tally(h, mode, triples):
+    counts = [0] * len(mode.catalog())
+    for i, j, k in triples:
+        counts[classify(h.edge_sets[i], h.edge_sets[j], h.edge_sets[k], mode) - 1] += 1
+    return counts
+
+
+def wedge_triples(h, i, j):
+    """Every instance containing the hyperwedge {e_i, e_j} once."""
+    inner = [k for k in neighbors(h, i) if k != j]
+    outer = [k for k in neighbors(h, j) if k != i and k not in neighbors(h, i)]
+    return [(i, j, k) for k in inner + outer]
+
+
+def enumerated(h, mode):
+    rows = []
+    enumerate_instances(h, build_line_graph(h), lambda *row: rows.append(row), mode)
+    return rows
+
+
+@KERNEL
+@given(hypergraphs(), chunks)
+def test_line_graph_rows_match_incidence(h, block):
+    with mock.patch.object(linegraph, "BUILD_BLOCK", block):
+        lg = build_line_graph(h)
+    for i in range(h.num_edges):
+        row = lg.indices[lg.indptr[i] : lg.indptr[i + 1]].tolist()
+        assert row == sorted(hyperedge_neighbors(h, i))
+        assert lg.neighbors[i] == hyperedge_neighbors(h, i)
+
+
+@KERNEL
+@given(hypergraphs(), chunks, st.sampled_from([(2, 1), (3, 1), (3, 2)]))
+def test_exact_counts_match_oracle(h, chunk, states_theta):
+    states, theta = states_theta
+    mode = MotifMode("binary") if states == 2 else MotifMode("abs", theta=theta)
+    with mock.patch.object(counting, "CHUNK", chunk):
+        counts = count_exact(h, build_line_graph(h), mode).counts
+    assert counts == oracle_count_vector(h, states, theta)
+    assert all(type(c) is int for c in counts)
+
+
+@KERNEL
+@given(hypergraphs(), chunks, ternary_modes)
+def test_batch_ids_match_scalar_classify(h, chunk, mode):
+    sets = h.edge_sets
+    with mock.patch.object(counting, "CHUNK", chunk):
+        rows = enumerated(h, mode)
+    for i, j, k, t in rows:
+        assert t == classify(sets[i], sets[j], sets[k], mode)
+        assert t == oracle_id(sets[i], sets[j], sets[k], mode)
+
+
+@KERNEL
+@given(hypergraphs(), chunks, st.sampled_from([MotifMode("binary"), MotifMode("abs", theta=2)]))
+def test_enumerate_matches_reference_sequence(h, chunk, mode):
+    with mock.patch.object(counting, "CHUNK", chunk):
+        assert enumerated(h, mode) == list(reference_instances(h, mode))
+
+
+@KERNEL
+@given(hypergraphs(), chunks, st.integers(0, 1 << 64), st.integers(1, 30))
+def test_samplers_match_set_references(h, chunk, seed, samples):
+    mode = MotifMode("binary")
+    lg = build_line_graph(h)
+    degrees = [len(neighbors(h, i)) for i in range(h.num_edges)]
+    prefix = [0]
+    for d in degrees:
+        prefix.append(prefix[-1] + d)
+    with mock.patch.object(counting, "CHUNK", chunk):
+        wedge = count_sample_hyperwedge(h, lg, samples, seed, mode).counts
+        edge = count_sample_hyperedge(h, lg, samples, seed, mode).counts
+        otf = [
+            count_otf(h, samples, budget, seed, variant, mode, workers).counts
+            for variant in ("basic", "advanced") for budget in (0, 5) for workers in (1, 3)
+        ]
+    if prefix[-1]:
+        triples = []
+        for n in range(samples):
+            m = _stream(seed, n).randrange(prefix[-1])
+            i = bisect_right(prefix, m) - 1
+            triples += wedge_triples(h, i, neighbors(h, i)[m - prefix[i]])
+        tally = reference_tally(h, mode, triples)
+        scales = [prefix[-1] / 2 / (2 * samples), prefix[-1] / 2 / (3 * samples)]
+        closed = [not is_open for is_open in mode.catalog().open_flags]
+        assert wedge == [c * scales[x] for c, x in zip(tally, closed)]
+        assert all(o == wedge for o in otf)
+    triples = []
+    for n in range(samples):
+        i = _stream(seed, n).randrange(h.num_edges)
+        triples += [(i, j, k) for j, k in combinations(neighbors(h, i), 2)]
+        triples += [
+            (i, j, k) for j in neighbors(h, i) for k in neighbors(h, j)
+            if k != i and k not in neighbors(h, i)
+        ]
+    scale = h.num_edges / (3 * samples)
+    assert edge == [c * scale for c in reference_tally(h, mode, triples)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1 << 70), st.integers(1, 1 << 40), st.integers(0, 1 << 20))
+def test_draws_equal_per_index_streams(seed, bound, first):
+    indices = range(first, first + 5)
+    expected = [_stream(seed, n).randrange(bound) for n in indices]
+    assert _draws(seed, indices, bound).tolist() == expected
+
+
+def test_wedge_triples_on_many_edges():
+    """A block's merge keys (wedge in block) * num_edges + neighbor exceed
+    2**31 here: 18,000 wedges of 3,000 triangles among 2**18 hyperedges, in
+    blocks of up to 16,384 wedges."""
+    n, triangles = 1 << 18, 3000
+    first = n - 3 * triangles
+    deg = np.zeros(n, dtype=np.int32)
+    deg[first:] = 2
+    indptr = np.concatenate([[0], np.cumsum(deg)]).astype(np.int32)
+    a = np.arange(first, n, 3)
+    b, c = a + 1, a + 2
+    indices = np.stack([b, c, a, c, a, b], axis=1).ravel().astype(np.int32)
+    weights = np.tile(np.array([1, 3, 1, 2, 3, 2], dtype=np.int32), triangles)
+    lg = LineGraph(indptr, indices, weights)
+    i = np.concatenate([a, b, b, c, a, c]).astype(np.int32)
+    j = np.concatenate([b, a, c, b, c, a]).astype(np.int32)
+    w_ij = np.repeat(np.array([1, 2, 3], dtype=np.int32), 2 * triangles)
+
+    def row(e):
+        lo, hi = indptr[e], indptr[e + 1]
+        return dict(zip(indices[lo:hi].tolist(), weights[lo:hi].tolist()))
+
+    expected = []
+    for x, y, w in zip(i.tolist(), j.tolist(), w_ij.tolist()):
+        nx, ny = row(x), row(y)
+        expected += [(x, y, k, w, nx[k], ny.get(k, 0)) for k in nx if k != y]
+        expected += [(x, y, k, w, 0, ny[k]) for k in ny if k != x and k not in nx]
+    with mock.patch.object(counting, "CHUNK", 1 << 16):
+        chunks = list(counting._wedge_triples(lg, i, j, w_ij))
+    got = [tuple(map(int, t)) for c in chunks for t in zip(*c)]
+    # each wedge here makes one triple, so a chunk's length is its block's wedge count
+    assert max(len(c[0]) for c in chunks) * n > 1 << 31
+    assert sorted(got) == sorted(expected)
