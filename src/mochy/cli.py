@@ -2,8 +2,8 @@
 
 Every run emits a manifest (flags, seed, elapsed time, output checksums)
 sufficient to reproduce its outputs bit-for-bit. Counts and profiles are
-written as CSV by default or JSON with --json; floats carry 17 significant
-digits.
+written as CSV by default or JSON with --json; integers are written exactly
+and floats carry 17 significant digits.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from . import __version__
 from .catalog import MotifMode, enumerate_catalog
@@ -154,11 +156,12 @@ def _write_rows(out, as_json: bool, rows: list[dict], document: dict, key: str) 
 
 
 def _cell(value) -> str:
-    """A CSV cell: flags as 0/1, text as is, numbers with 17 significant digits."""
+    """A CSV cell: flags as 0/1, text and integers as is (exact at any size),
+    floats with 17 significant digits."""
     if isinstance(value, bool):
         return str(int(value))
-    if isinstance(value, str):
-        return value
+    if isinstance(value, (str, int, np.integer)):
+        return str(value)
     return f"{value:.17g}"
 
 
@@ -479,6 +482,9 @@ def _validate(parser, args) -> None:
         parser.error("--theta must be >= 1")
     if getattr(args, "threads", None) is not None and args.threads < 1:
         parser.error("--threads must be >= 1")
+    # random.Random seeds on abs(), so a negative seed would repeat a positive one
+    if hasattr(args, "seed") and not 0 <= args.seed < 1 << 64:
+        parser.error("--seed must be in [0, 2**64)")
 
 
 def main(argv=None) -> int:

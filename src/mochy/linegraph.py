@@ -14,7 +14,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -151,8 +150,8 @@ def build_line_graph(h: Hypergraph, workers: int = 1) -> LineGraph:
     """
     n = h.num_edges
     dtype = np.int32 if n * n < 1 << 31 else np.int64
-    run = np.fromiter(map(len, h.incidence), np.int64, count=h.num_nodes)
-    inc = np.fromiter(chain.from_iterable(h.incidence), dtype, count=int(run.sum()))
+    run = np.diff(h.node_ptr)
+    inc = h.node_edges.astype(dtype)
     keys = np.empty(int((run * (run - 1) // 2).sum()), dtype)
     # each incidence entry pairs with the later entries of its node's run
     run_end = np.repeat(np.cumsum(run), run)

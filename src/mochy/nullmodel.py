@@ -4,19 +4,25 @@ Incidence pairs are redrawn independently, nodes proportionally to degree
 and hyperedge slots proportionally to size, which preserves both
 distributions in expectation. Slot node-multisets collapse to sets, empty
 slots are dropped, and duplicate hyperedges are merged on re-ingestion.
+
+The redraw is one vectorized draw over the stdlib stream: it reads the
+Mersenne Twister's 32-bit words in blocks and repeats randrange's rejection
+sampling on them, so it gives the same values as, and leaves the generator
+in the same state as, one `rng.randrange(total)` call per node and per slot.
+Replicates are built by the same array builder as parsed input and run one
+after another.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable
 
+import numpy as np
+
 from .counting import CountVector, _stream
-from .hypergraph import Hypergraph, from_edge_sets
+from .hypergraph import Hypergraph, from_pairs
 
 
 @dataclass(frozen=True)
@@ -29,19 +35,51 @@ class NullModelConfig:
             raise ValueError("replicates must be >= 1")
 
 
+def _randbelow(rng: random.Random, bound: int, count: int) -> np.ndarray:
+    """The values of count >= 1 successive rng.randrange(bound) calls, as an array.
+
+    Each call takes 32-bit words w from the generator until one has
+    w >> (32 - bound.bit_length()) below bound. A round reads one word per
+    value still missing in a single getrandbits call, whose result holds the
+    words in order from the least significant end, so no word is read past
+    the last value and rng ends where the calls would leave it.
+    """
+    width = bound.bit_length()
+    if width > 32:
+        raise ValueError(f"cannot redraw {bound} incidences (at most 2**32 - 1)")
+    parts = []
+    while count:
+        block = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        values = np.frombuffer(block, dtype="<u4") >> (32 - width)
+        parts.append(values[values < bound])
+        count -= len(parts[-1])
+    return np.concatenate(parts)
+
+
+def redraw_incidences(h: Hypergraph, rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
+    """Redraw all incidence pairs: (slots, nodes), one entry per drawn pair.
+
+    Draw t is the pair of rng.randrange(total) calls 2t and 2t + 1. The
+    first picks the node owning that position in node-major incidence order
+    (a node with probability degree / total), the second the slot, a
+    hyperedge index of h, owning it in hyperedge-major order (probability
+    size / total).
+    """
+    total = h.total_incidences()
+    draws = _randbelow(rng, total, 2 * total)
+    node_of = np.repeat(np.arange(h.num_nodes), np.diff(h.node_ptr))
+    slot_of = np.repeat(np.arange(h.num_edges), np.diff(h.edge_ptr))
+    return slot_of[draws[1::2]], node_of[draws[0::2]]
+
+
 def sample_incidence_slots(h: Hypergraph, rng: random.Random) -> list[set[int]]:
     """Redraw all incidence pairs; returns the raw per-slot node sets.
 
     Draw count equals the number of incidence pairs in h. Slots may come
     back empty; repeated (node, slot) draws collapse because slots are sets.
     """
-    node_prefix = [0, *accumulate(h.node_degree(v) for v in range(h.num_nodes))]
-    slot_prefix = [0, *accumulate(len(e) for e in h.edges)]
-    total = node_prefix[-1]
-    slots: list[set[int]] = [set() for _ in h.edges]
-    for _ in range(total):
-        v = bisect_right(node_prefix, rng.randrange(total)) - 1
-        j = bisect_right(slot_prefix, rng.randrange(total)) - 1
+    slots: list[set[int]] = [set() for _ in range(h.num_edges)]
+    for j, v in zip(*(a.tolist() for a in redraw_incidences(h, rng))):
         slots[j].add(v)
     return slots
 
@@ -52,8 +90,7 @@ def randomize_chung_lu(h: Hypergraph, seed: int = 0) -> Hypergraph:
     Node labels in the output are the node ids of the input hypergraph, so
     degrees remain comparable across replicates.
     """
-    slots = sample_incidence_slots(h, random.Random(seed))
-    return from_edge_sets(s for s in slots if s)
+    return from_pairs(*redraw_incidences(h, random.Random(seed)))
 
 
 def null_counts(
@@ -65,21 +102,16 @@ def null_counts(
     """Mean per-motif counts over randomized replicates.
 
     counter(h_rand, rng) runs any counting pipeline on one replicate; each
-    replicate's randomization stream is derived from (seed, replicate).
+    replicate's randomization stream is derived from (seed, replicate), and
+    counter receives it right after the redraw. Replicates run one after
+    another; `workers` is accepted for compatibility and has no effect.
     Returns the mean vector and the replicates themselves.
     """
-
-    def one(rep: int) -> tuple[Hypergraph, CountVector]:
+    replicates, vectors = [], []
+    for rep in range(cfg.replicates):
         rng = _stream(cfg.seed, rep)
-        h_rand = from_edge_sets(s for s in sample_incidence_slots(h, rng) if s)
-        return h_rand, counter(h_rand, rng)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(cfg.replicates)))
-    else:
-        results = [one(rep) for rep in range(cfg.replicates)]
-    vectors = [cv for _, cv in results]
+        replicates.append(from_pairs(*redraw_incidences(h, rng)))
+        vectors.append(counter(replicates[-1], rng))
     size = len(vectors[0].counts)
     mean = [
         sum(cv.counts[t] for cv in vectors) / cfg.replicates for t in range(size)
@@ -94,4 +126,4 @@ def null_counts(
             "component": vectors[0].meta.get("algorithm"),
         },
     )
-    return out, [hr for hr, _ in results]
+    return out, replicates

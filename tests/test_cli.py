@@ -1,12 +1,14 @@
 """Command-line interface: outputs, manifests, determinism, exit codes."""
 
 import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from mochy.cli import main
+from mochy.cli import _write_rows, main
 
 CHAIN = "1 2 3\n2 3 4\n3 4 5\n"
 
@@ -220,3 +222,45 @@ class TestMisc:
         assert main(["count", chain_file, "--out", out]) == 0
         manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
         assert manifest["workers"] == 2
+
+
+class TestWriteRows:
+    def test_integers_are_exact(self):
+        out = io.StringIO()
+        rows = [
+            {"id": 1, "count": 2**53 + 1},
+            {"id": 2, "count": 10**17},
+            {"id": 3, "count": np.int64(2**62 + 1)},
+        ]
+        _write_rows(out, False, rows, {}, "counts")
+        assert out.getvalue() == (
+            "id,count\n"
+            "1,9007199254740993\n"
+            "2,100000000000000000\n"
+            f"3,{2**62 + 1}\n"
+        )
+
+    def test_floats_and_flags_keep_their_format(self):
+        out = io.StringIO()
+        rows = [{"x": 12.0, "y": 0.1, "flag": True, "name": "011"}]
+        _write_rows(out, False, rows, {}, "rows")
+        assert out.getvalue() == "x,y,flag,name\n12,0.10000000000000001,1,011\n"
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", ["-5", str(1 << 64)])
+    def test_out_of_range_seed_is_usage_error(self, seed, chain_file, tmp_path):
+        for argv in (
+            ["count", chain_file, "--seed", seed],
+            ["cp", chain_file, "--replicates", "1", "--seed", seed],
+            ["randomize", chain_file, "--seed", seed, "--out", str(tmp_path / "r")],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+
+    def test_largest_seed_is_accepted(self, chain_file, tmp_path):
+        out = str(tmp_path / "c.csv")
+        seed = str((1 << 64) - 1)
+        assert main(["count", chain_file, "--algo", "wedge-sample", "-r", "5",
+                     "--seed", seed, "--out", out]) == 0

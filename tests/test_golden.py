@@ -1,8 +1,10 @@
 """Golden CLI outputs: byte identity at equal seeds on a small seeded graph.
 
-The digests were produced by the per-triple reference implementation that the
-batched kernel replaced; any change to counting, sampling draws, on-the-fly
-access order or output formatting shows up here as a different sha256.
+The counting digests were produced by the per-triple reference implementation
+that the batched kernel replaced, and the cp/randomize digests by the
+call-by-call Chung-Lu redraw that the vectorized one replaced; any change to
+counting, sampling draws, the null model's draws, on-the-fly access order or
+output formatting shows up here as a different sha256.
 """
 
 import hashlib
@@ -65,6 +67,21 @@ GOLDEN = {
 }
 
 
+# The null model's redraw: `cp` counts two replicates, `randomize` writes three.
+CP = (
+    ["cp", "--replicates", "2", "--seed", "5"],
+    "145db3c0ea85ddabe5802f9b8dad9f0ac8e002d5e533b119ef5a1f0cc0ebd150",
+)
+RANDOMIZE = (
+    ["randomize", "--replicates", "3", "--seed", "5"],
+    [
+        "27f46a409556dbf0a80fe5734cce51b8676243b17e370bd5ea893da14f3c4414",
+        "506d60436b99a6ccc620d3658261a30e0351dafda2a57547b9bc62f6841a48c3",
+        "93d67346fa288e5d351468735f9dd70a27e55d6e507e078c2c0f59aa0ab0f1b0",
+    ],
+)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_output_bytes_are_pinned(name, tmp_path):
     argv, digest = GOLDEN[name]
@@ -73,3 +90,23 @@ def test_cli_output_bytes_are_pinned(name, tmp_path):
     out = tmp_path / "out.csv"
     assert main([argv[0], str(src), *argv[1:], "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cp_output_bytes_are_pinned(threads, tmp_path):
+    argv, digest = CP
+    src = tmp_path / "in.txt"
+    src.write_text(golden_input())
+    out = tmp_path / "cp.csv"
+    assert main([argv[0], str(src), *argv[1:], "--threads", threads, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_randomize_output_bytes_are_pinned(tmp_path):
+    argv, digests = RANDOMIZE
+    src = tmp_path / "in.txt"
+    src.write_text(golden_input())
+    prefix = tmp_path / "rand"
+    assert main([argv[0], str(src), *argv[1:], "--out", str(prefix)]) == 0
+    written = [(tmp_path / f"rand.{rep}.txt").read_bytes() for rep in range(len(digests))]
+    assert [hashlib.sha256(data).hexdigest() for data in written] == digests

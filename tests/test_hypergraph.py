@@ -54,6 +54,10 @@ class TestLoad:
         with pytest.raises(EmptyInputError):
             load_lines("# nothing here")
 
+    def test_label_outside_int64_is_rejected(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            load_lines(f"1 {1 << 63}")
+
     def test_within_line_repeats_collapse(self):
         h = load_lines("5 5 6")
         assert h.edges == ((0, 1),)
