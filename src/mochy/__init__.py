@@ -37,7 +37,6 @@ from .hypergraph import (
     incidence_graph,
     load_hypergraph,
     load_hypergraph_path,
-    node_degree,
 )
 from .linegraph import (
     LineGraph,
@@ -45,7 +44,6 @@ from .linegraph import (
     build_line_graph,
     hyperedge_degrees,
     hyperedge_neighbors,
-    memo_get,
 )
 from .nullmodel import NullModelConfig, null_counts, randomize_chung_lu
 from .profiles import (

@@ -368,7 +368,7 @@ def _add_common(p, with_mode=True, with_threads=True):
             "--threads",
             type=int,
             default=None,
-            help="worker count (default: MOCHY_THREADS or machine parallelism)",
+            help="worker count, recorded only (default: MOCHY_THREADS or machine parallelism)",
         )
     if with_mode:
         p.add_argument("--motifs", choices=("binary", "ternary"), default="binary")

@@ -5,10 +5,9 @@ candidate generator yields hyperedge triples (i, j, k) with their pairwise
 overlaps as arrays of about CHUNK triples, catalog.classify_batch maps
 each chunk to motif ids, and np.bincount tallies them. Tallies are integers,
 so exact counts are exact Python ints and sampling estimators rescale once
-at the end. No result depends on `workers`: it is accepted and recorded in
-`meta`, and only the on-the-fly estimators use it, to split their draws and
-memo budget into that many consecutive chunks with a store each. Each
-sample index draws from its own RNG stream derived from (seed, index).
+at the end. `workers` changes no result and no work: it is accepted and
+recorded in `meta` only. Each sample index draws from its own RNG stream
+derived from (seed, index).
 """
 
 from __future__ import annotations
@@ -16,12 +15,13 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import linegraph
 from .catalog import BINARY, MotifMode, classify_batch
 from .hypergraph import Hypergraph
 from .linegraph import (
@@ -30,7 +30,6 @@ from .linegraph import (
     blocks,
     find,
     hyperedge_degrees,
-    hyperedge_neighbors,
     ragged_range,
     ragged_ranges,
 )
@@ -94,12 +93,6 @@ def _draws(seed: int, indices: range, bound: int) -> np.ndarray:
     return np.fromiter(map(draw, indices), np.int64, count=len(indices))
 
 
-def _chunks(n: int, workers: int) -> list[range]:
-    workers = max(1, min(workers, n)) if n else 1
-    bounds = [round(n * w / workers) for w in range(workers + 1)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-
-
 # ---------------------------------------------------------------------------
 # Candidate generators over the CSR line graph
 
@@ -146,58 +139,75 @@ def _edge_triples(lg: LineGraph, centers: np.ndarray) -> Iterator[Triples]:
         yield from _wedge_triples(lg, rows, lg.indices[entries], lg.weights[entries], inner=False)
 
 
-def _wedge_triples(lg: LineGraph, i, j, w_ij, inner: bool = True) -> Iterator[Triples]:
-    """Every instance containing the hyperwedge {e_i, e_j} once, per wedge:
-    k runs over the neighbors of i other than j (only if `inner`), then over
-    the neighbors of j that are neither i nor adjacent to i.
-
-    Wedges go in blocks whose two neighbor lists hold at most CHUNK entries
-    together, one chunk per block; a block finds w_jk and the neighbors
-    shared by i and j by merging its own two sorted lists, not by lookups in
-    the whole line graph.
+def _merge_wedges(i, j, w_ij, row_i, row_j, n: int, inner: bool = True) -> Triples:
+    """Every instance containing the hyperwedge {e_i, e_j} once, for a block
+    of wedges (i, j, w_ij): k runs over the neighbors of i other than j (only
+    if `inner`), then over the neighbors of j that are neither i nor adjacent
+    to i. Each endpoint's rows are ragged arrays (owner, neighbor, weight),
+    owner being the wedge's position in the block, sorted by owner then
+    neighbor (< n); merging them finds w_jk and the neighbors i and j share.
     """
-    indptr, indices, weights, n = lg.indptr, lg.indices, lg.weights, lg.num_edges
+    own_i, k_i, wt_i = row_i
+    own_j, k_j, wt_j = row_j
+    # int64: a block's wedge count times n can pass 2**31
+    key_i = own_i.astype(np.int64) * n + k_i
+    key_j = own_j.astype(np.int64) * n + k_j
+    # one merge: where each neighbor of j sits among the neighbors of i
+    at, common = find(key_i, key_j)
+    keep = ~common & (k_j != i[own_j])
+    w_jk = wt_j[keep]
+    parts = [(own_j[keep], k_j[keep], np.zeros_like(w_jk), w_jk)]
+    if inner:
+        w_jk = np.zeros(len(key_i), wt_j.dtype)
+        w_jk[at[common]] = wt_j[common]
+        keep = k_i != j[own_i]
+        parts.insert(0, (own_i[keep], k_i[keep], wt_i[keep], w_jk[keep]))
+    own, k, w_ik, w_jk = (np.concatenate(x) for x in zip(*parts))
+    return i[own], j[own], k, w_ij[own], w_ik, w_jk
+
+
+def _wedge_triples(lg: LineGraph, i, j, w_ij, inner: bool = True) -> Iterator[Triples]:
+    """_merge_wedges over the wedges (i, j, w_ij) of the line graph, in blocks
+    whose two neighbor rows hold at most CHUNK entries together."""
+    indptr, indices, weights = lg.indptr, lg.indices, lg.weights
     for block in blocks(indptr[i + 1] - indptr[i] + indptr[j + 1] - indptr[j], CHUNK):
-        bi, bj, bw = i[block], j[block], w_ij[block]
-        own_i, pos_i = ragged_range(indptr[bi], indptr[bi + 1])
-        own_j, pos_j = ragged_range(indptr[bj], indptr[bj + 1])
-        k_i, k_j = indices[pos_i], indices[pos_j]
-        # int64: a block's wedge count times num_edges can pass 2**31
-        key_i = own_i.astype(np.int64) * n + k_i
-        key_j = own_j.astype(np.int64) * n + k_j
-        # one merge: where each neighbor of j sits among the neighbors of i
-        at, common = find(key_i, key_j)
-        keep = ~common & (k_j != bi[own_j])
-        w_jk = weights[pos_j[keep]]
-        parts = [(own_j[keep], k_j[keep], np.zeros_like(w_jk), w_jk)]
-        if inner:
-            w_jk = np.zeros(len(key_i), weights.dtype)
-            w_jk[at[common]] = weights[pos_j[common]]
-            keep = k_i != bj[own_i]
-            parts.insert(0, (own_i[keep], k_i[keep], weights[pos_i[keep]], w_jk[keep]))
-        own, k, w_ik, w_jk = (np.concatenate(x) for x in zip(*parts))
-        yield bi[own], bj[own], k, bw[own], w_ik, w_jk
+        bi, bj = i[block], j[block]
+        rows = []
+        for e in (bi, bj):
+            owner, pos = ragged_range(indptr[e], indptr[e + 1])
+            rows.append((owner, indices[pos], weights[pos]))
+        yield _merge_wedges(bi, bj, w_ij[block], *rows, lg.num_edges, inner)
 
 
-def _map_triples(wedges: Iterable[tuple[int, int, dict, dict]]) -> Iterator[Triples]:
-    """The triples _wedge_triples yields, gathered from the neighbor maps of
-    each (i, j, nbrs_i, nbrs_j) instead of from a line graph."""
-    cols = [array("q") for _ in range(6)]
-    for i, j, nbrs_i, nbrs_j in wedges:
-        inner = [k for k in nbrs_i if k != j]
-        outer = [k for k in nbrs_j if k != i and k not in nbrs_i]
-        n = len(inner) + len(outer)
-        for col, values in zip(cols, (
-            [i] * n, [j] * n, inner + outer, [nbrs_i[j]] * n,
-            [nbrs_i[k] for k in inner] + [0] * len(outer),
-            [nbrs_j.get(k, 0) for k in inner] + [nbrs_j[k] for k in outer],
-        )):
-            col.extend(values)
-        if len(cols[2]) >= CHUNK:
-            yield tuple(np.frombuffer(c, dtype=np.int64) for c in cols)
-            cols = [array("q") for _ in range(6)]
-    if cols[2]:
-        yield tuple(np.frombuffer(c, dtype=np.int64) for c in cols)
+def _memo_triples(wedges: Iterable[tuple[int, int, dict, dict]], n: int) -> Iterator[Triples]:
+    """_merge_wedges over wedges (i, j, nbrs_i, nbrs_j) given with their
+    endpoints' neighbor maps, in blocks whose maps hold about CHUNK entries."""
+
+    def merge(block):
+        i, j, maps_i, maps_j = zip(*block)
+        w_ij = np.array([nbrs[b] for nbrs, b in zip(maps_i, j)])
+        maps = maps_i + maps_j
+        lengths = np.fromiter(map(len, maps), np.int64, len(maps))
+        owner = np.repeat(np.arange(len(maps)), lengths)
+        k = np.fromiter(chain.from_iterable(maps), np.int64, len(owner))
+        w = np.fromiter(chain.from_iterable(map(dict.values, maps)), np.int64, len(owner))
+        # one sort orders both endpoints' rows: owners of j's rows follow i's
+        order = np.argsort(owner * n + k)
+        owner, k, w = owner[order], k[order], w[order]
+        split = int(lengths[: len(i)].sum())
+        row_i = owner[:split], k[:split], w[:split]
+        row_j = owner[split:] - len(i), k[split:], w[split:]
+        return _merge_wedges(np.array(i), np.array(j), w_ij, row_i, row_j, n)
+
+    block, size = [], 0
+    for wedge in wedges:
+        block.append(wedge)
+        size += len(wedge[2]) + len(wedge[3])
+        if size >= CHUNK:
+            yield merge(block)
+            block, size = [], 0
+    if block:
+        yield merge(block)
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +418,15 @@ def count_otf(
     """Hyperwedge-sampling estimate without a precomputed line graph.
 
     A light pre-pass finds line-graph degrees (hence the wedge count);
-    neighborhoods are then computed on demand under the memoization budget.
-    The draws are split into `workers` consecutive chunks, each with its own
-    store holding budget // chunks entries. The basic variant processes
-    samples in draw order; the advanced variant groups wedges by their
-    higher-(degree, index) endpoint, processes groups in descending order,
-    and permanently evicts each group's key afterwards. Estimates are
-    bit-identical to count_sample_hyperwedge at the same seed.
+    neighborhoods are then computed on demand by one store of at most
+    `budget` entries. The basic variant processes samples in draw order; the
+    advanced variant groups wedges by their higher-(degree, index) endpoint,
+    processes groups in descending order, and permanently evicts each
+    group's key afterwards. Triples go through count_sample_hyperwedge's
+    merge, so estimates are bit-identical to it at the same seed. `workers`
+    changes no result and no work. meta counts the store's misses
+    (recomputations) and every neighbor map computed, the advanced grouping
+    pass's one per draw included (neighbor_computations).
     """
     if r < 1:
         raise ValueError("sample count r must be >= 1")
@@ -427,36 +439,32 @@ def count_otf(
     wedges = int(prefix[-1]) // 2
     if wedges == 0:
         return _no_wedges(mode, f"otf-{variant}", r, seed)
-    chunk_list = _chunks(r, workers)
-    chunk_budget = budget // len(chunk_list) if len(chunk_list) > 1 else budget
-    stores: list[MemoizedNeighborStore] = []
+    store = MemoizedNeighborStore(h, budget, degrees)
+    draws = zip(*(x.tolist() for x in _wedge_draws(seed, range(r), prefix)))
 
-    def basic(store, chunk: range):
-        for i, pos in zip(*(x.tolist() for x in _wedge_draws(seed, chunk, prefix))):
-            pin = frozenset((i,))
-            j = sorted(store.get(i, pin))[pos]
+    def resolve(pairs):
+        for i, j in pairs:
             pinned = frozenset((i, j))
             yield i, j, store.get(i, pinned), store.get(j, pinned)
 
-    def advanced(store, chunk: range):
+    def basic():
+        # lazy, so that each draw finds j right before its wedge's two gets
+        pairs = ((i, sorted(store.get(i, frozenset((i,))))[pos]) for i, pos in draws)
+        yield from resolve(pairs)
+
+    def advanced():
         groups: dict[int, list[tuple[int, int]]] = {}
-        for i, pos in zip(*(x.tolist() for x in _wedge_draws(seed, chunk, prefix))):
-            j = sorted(hyperedge_neighbors(h, i))[pos]
+        for i, pos in draws:
+            # called through the module, as the store calls it: one patch sees every call
+            j = sorted(linegraph.hyperedge_neighbors(h, i))[pos]
             key = i if (degrees[i], i) > (degrees[j], j) else j
             groups.setdefault(key, []).append((i, j))
         for key in sorted(groups, key=lambda e: (degrees[e], e), reverse=True):
-            for i, j in groups[key]:
-                pinned = frozenset((i, j))
-                yield i, j, store.get(i, pinned), store.get(j, pinned)
+            yield from resolve(groups[key])
             store.evict(key)
 
-    def wedge_maps():
-        scan = basic if variant == "basic" else advanced
-        for chunk in chunk_list:
-            stores.append(MemoizedNeighborStore(h, chunk_budget, degrees))
-            yield from scan(stores[-1], chunk)
-
-    merged = _tally(h, mode, _map_triples(wedge_maps()))
+    scan = basic() if variant == "basic" else advanced()
+    merged = _tally(h, mode, _memo_triples(scan, h.num_edges))
     meta = {
         "algorithm": f"otf-{variant}",
         "num_edges": h.num_edges,
@@ -465,7 +473,8 @@ def count_otf(
         "seed": seed,
         "workers": workers,
         "budget": budget,
-        "recomputations": sum(s.recomputations for s in stores),
+        "recomputations": store.recomputations,
+        "neighbor_computations": store.recomputations + (r if variant == "advanced" else 0),
     }
     return CountVector(mode, _rescale_wedge_estimate(merged, mode, wedges, r), meta)
 

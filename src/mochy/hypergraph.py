@@ -273,10 +273,6 @@ def incidence_graph(h: Hypergraph) -> IncidenceGraph:
     )
 
 
-def node_degree(h: Hypergraph, v: int) -> int:
-    return h.node_degree(v)
-
-
 def convert_nverts_format(nverts_lines: Sequence[str], simplices_lines: Sequence[str]) -> list[list[int]]:
     """Convert the public two-file layout (per-edge vertex counts + flattened
     member stream) into edge-list rows. Returns a list of label lists."""

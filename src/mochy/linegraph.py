@@ -110,11 +110,6 @@ class LineGraph:
         idx, w = self.indices.tolist(), self.weights.tolist()
         return tuple(dict(zip(idx[a:b], w[a:b])) for a, b in zip(bounds, bounds[1:]))
 
-    @cached_property
-    def sorted_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Per hyperedge, its adjacent indices in ascending order (built on first use)."""
-        return tuple(tuple(nbrs) for nbrs in self.neighbors)
-
 
 def hyperedge_neighbors(h: Hypergraph, i: int) -> dict[int, int]:
     """Neighbor map of hyperedge i computed from incidence lists alone."""
@@ -259,9 +254,3 @@ class MemoizedNeighborStore:
         if i in self.store:
             del self.store[i]
             self.cap += self.degrees[i]
-
-
-def memo_get(
-    store: MemoizedNeighborStore, i: int, pinned: frozenset[int] = frozenset()
-) -> dict[int, int]:
-    return store.get(i, pinned)

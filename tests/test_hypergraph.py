@@ -12,7 +12,6 @@ from mochy import (
     from_edge_sets,
     incidence_graph,
     load_hypergraph,
-    node_degree,
 )
 from mochy.hypergraph import convert_nverts_format
 
@@ -112,16 +111,16 @@ class TestIncidenceGraph:
 class TestDegrees:
     def test_two_edges(self):
         h = from_edge_sets([{0, 1}, {0, 2}])
-        assert node_degree(h, 0) == 2
+        assert h.node_degree(0) == 2
 
     def test_singleton_edge(self):
         h = from_edge_sets([{0}])
-        assert node_degree(h, 0) == 1
+        assert h.node_degree(0) == 1
 
     def test_out_of_range(self):
         h = from_edge_sets([{0}])
         with pytest.raises(IndexError):
-            node_degree(h, 5)
+            h.node_degree(5)
 
     def test_incidence_sum_invariant(self):
         rng = random.Random(13)

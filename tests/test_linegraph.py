@@ -13,7 +13,6 @@ from mochy import (
     from_edge_sets,
     hyperedge_degrees,
     hyperedge_neighbors,
-    memo_get,
 )
 from mochy.linegraph import dump_line_graph
 
@@ -138,7 +137,7 @@ class TestMemoStore:
             for budget in {0, 1, math.ceil(full / 2), full}:
                 store = MemoizedNeighborStore(h, budget)
                 for i in range(h.num_edges):
-                    assert memo_get(store, i) == lg.neighbors[i]
+                    assert store.get(i) == lg.neighbors[i]
                 assert store.memoized_entries() <= budget
 
     def test_unbounded_budget_memoizes_everything(self, chain3):

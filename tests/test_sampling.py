@@ -15,6 +15,7 @@ from mochy import (
     count_sample_hyperwedge,
     from_edge_sets,
 )
+from mochy import linegraph
 
 from conftest import random_hypergraph
 
@@ -222,6 +223,23 @@ class TestOnTheFly:
         a = count_otf(twelve, 48, 10, seed=11, variant="advanced", workers=1)
         b = count_otf(twelve, 48, 10, seed=11, variant="advanced", workers=4)
         assert a.counts == b.counts
+        assert a.meta["recomputations"] == b.meta["recomputations"]
+
+    @pytest.mark.parametrize("variant", ["basic", "advanced"])
+    def test_neighbor_computations_count_every_call(self, twelve, monkeypatch, variant):
+        calls = []
+        original = linegraph.hyperedge_neighbors
+
+        def counted(h, i):
+            calls.append(i)
+            return original(h, i)
+
+        monkeypatch.setattr(linegraph, "hyperedge_neighbors", counted)
+        for budget in (0, 10, 1000):
+            calls.clear()
+            cv = count_otf(twelve, 48, budget, seed=11, variant=variant)
+            assert cv.meta["neighbor_computations"] == len(calls)
+            assert cv.meta["recomputations"] <= len(calls)
 
     def test_validation(self, twelve):
         with pytest.raises(ValueError):
