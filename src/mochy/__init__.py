@@ -30,11 +30,9 @@ from .counting import (
 from .hypergraph import (
     EmptyInputError,
     Hypergraph,
-    IncidenceGraph,
     ParseError,
     dump_hypergraph,
     from_edge_sets,
-    incidence_graph,
     load_hypergraph,
     load_hypergraph_path,
 )

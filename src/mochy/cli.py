@@ -14,8 +14,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .catalog import MotifMode, enumerate_catalog
 from .counting import (
     ALGORITHMS,
     CountVector,
+    EnumerationAborted,
     count_exact,
     count_otf,
     count_sample_hyperedge,
@@ -62,8 +62,8 @@ class RunManifest:
     theta: int
     p: float
     replicates: int | None
-    elapsed_seconds: float = 0.0
-    outputs: dict = field(default_factory=dict)
+    elapsed_seconds: float
+    outputs: dict
     version: str = __version__
 
 
@@ -75,48 +75,49 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-@contextmanager
-def _output(path: str | None):
-    """A text handle on the path, or stdout for None or "-"."""
-    if path in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            yield handle
+def _run(args) -> int:
+    """Time one command, write its result to --out, emit the run's manifest.
 
-
-def _emit_manifest(manifest: RunManifest, out_path: str | None) -> None:
-    for path in list(manifest.outputs):
-        manifest.outputs[path] = _sha256(path)
+    A command loads and computes, then returns (write, written): a function
+    that writes its result to a text handle (None when --out is not a file,
+    as randomize's prefix), and the other files it wrote. --out is opened
+    only after that, so a failed run leaves it as it was. The manifest holds
+    a checksum of every file written; it goes next to --out (next to the
+    first written file without one), or to stderr when --out is stdout.
+    """
+    start = time.perf_counter()
+    write, written = args.func(args)
+    anchor = args.out if write else written[0]
+    if write and args.out == "-":
+        write(sys.stdout)
+    elif write:
+        with open(args.out, "w", encoding="utf-8") as out:
+            write(out)
+        written = [args.out, *written]
+    elapsed = time.perf_counter() - start
+    manifest = RunManifest(
+        command=args.command,
+        input=getattr(args, "input", None),
+        algorithm=getattr(args, "algo", None),
+        samples=getattr(args, "samples", None),
+        budget=getattr(args, "budget", None),
+        workers=getattr(args, "threads", 1),
+        seed=getattr(args, "seed", 0),
+        motifs=getattr(args, "motifs", "binary"),
+        variant=getattr(args, "variant", None),
+        theta=getattr(args, "theta", 1),
+        p=getattr(args, "p", 0.5),
+        replicates=getattr(args, "replicates", None),
+        elapsed_seconds=elapsed,
+        outputs={path: _sha256(path) for path in written},
+    )
     payload = json.dumps(asdict(manifest), indent=2, sort_keys=True)
-    if out_path and out_path != "-":
-        with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
+    if anchor == "-":
         print(payload, file=sys.stderr)
-
-
-def _finish(args, manifest: RunManifest, start: float | None = None) -> int:
-    """Record --out in the manifest, stamp the elapsed time, emit it."""
-    if args.out and args.out != "-":
-        manifest.outputs[args.out] = ""
-    if start is not None:
-        manifest.elapsed_seconds = time.perf_counter() - start
-    _emit_manifest(manifest, args.out)
+    else:
+        with open(anchor + ".manifest.json", "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
     return 0
-
-
-def _finish_counts(args, command: str, cv: CountVector, start: float) -> int:
-    """Write a count vector to --out and emit the run's manifest."""
-    manifest = _manifest_for(args, command)
-    catalog = cv.mode.catalog()
-    rows = [
-        {"id": t, "pattern": pattern, "count": count}
-        for t, pattern, count in zip(catalog.ids, _patterns(catalog), cv.counts)
-    ]
-    with _output(args.out) as out:
-        _write_rows(out, args.json, rows, {"meta": cv.meta}, "counts")
-    return _finish(args, manifest, start)
 
 
 def _default_threads() -> int:
@@ -165,6 +166,16 @@ def _cell(value) -> str:
     return f"{value:.17g}"
 
 
+def _counts_writer(args, cv: CountVector):
+    """The --out writer of a count vector's rows."""
+    catalog = cv.mode.catalog()
+    rows = [
+        {"id": t, "pattern": pattern, "count": count}
+        for t, pattern, count in zip(catalog.ids, _patterns(catalog), cv.counts)
+    ]
+    return lambda out: _write_rows(out, args.json, rows, {"meta": cv.meta}, "counts")
+
+
 def _run_counter(args, h, mode: MotifMode, seed: int) -> CountVector:
     if args.algo.startswith("otf-"):
         budget = int(args.budget * sum(hyperedge_degrees(h, workers=args.threads)))
@@ -176,32 +187,12 @@ def _run_counter(args, h, mode: MotifMode, seed: int) -> CountVector:
     return sample(h, lg, args.samples, seed, mode, args.threads)
 
 
-def _manifest_for(args, command: str) -> RunManifest:
-    return RunManifest(
-        command=command,
-        input=getattr(args, "input", None),
-        algorithm=getattr(args, "algo", None),
-        samples=getattr(args, "samples", None),
-        budget=getattr(args, "budget", None),
-        workers=getattr(args, "threads", 1),
-        seed=getattr(args, "seed", 0),
-        motifs=getattr(args, "motifs", "binary"),
-        variant=getattr(args, "variant", None),
-        theta=getattr(args, "theta", 1),
-        p=getattr(args, "p", 0.5),
-        replicates=getattr(args, "replicates", None),
-    )
-
-
-def cmd_count(args) -> int:
-    start = time.perf_counter()
+def cmd_count(args):
     h = load_hypergraph_path(args.input)
-    cv = _run_counter(args, h, _mode_from_args(args), args.seed)
-    return _finish_counts(args, "count", cv, start)
+    return _counts_writer(args, _run_counter(args, h, _mode_from_args(args), args.seed)), []
 
 
-def cmd_cp(args) -> int:
-    start = time.perf_counter()
+def cmd_cp(args):
     h = load_hypergraph_path(args.input)
     mode = _mode_from_args(args)
     counts = _run_counter(args, h, mode, args.seed)
@@ -231,76 +222,63 @@ def cmd_cp(args) -> int:
             catalog.ids, _patterns(catalog), counts.counts, null_mean.counts, sig.delta, cp.cp
         )
     ]
-    manifest = _manifest_for(args, "cp")
-    manifest.outputs = {}
-    with _output(args.out) as out:
-        _write_rows(out, args.json, rows, {"meta": counts.meta}, "profile")
-    return _finish(args, manifest, start)
+    return (lambda out: _write_rows(out, args.json, rows, {"meta": counts.meta}, "profile")), []
 
 
-def cmd_enumerate(args) -> int:
-    start = time.perf_counter()
+def cmd_enumerate(args):
     h = load_hypergraph_path(args.input)
     mode = _mode_from_args(args)
     lg = build_line_graph(h, workers=args.threads)
-    manifest = _manifest_for(args, "enumerate")
-    with _output(args.out) as out:
+
+    def write(out):
         out.write("i,j,k,motif_id\n")
         enumerate_instances(
             h, lg, lambda i, j, k, t: out.write(f"{i},{j},{k},{t}\n"), mode
         )
-    return _finish(args, manifest, start)
+
+    return write, []
 
 
-def cmd_randomize(args) -> int:
-    start = time.perf_counter()
+def cmd_randomize(args):
     h = load_hypergraph_path(args.input)
-    manifest = _manifest_for(args, "randomize")
+    written = []
     for rep in range(args.replicates):
         path = f"{args.out}.{rep}.txt"
         h_rand = randomize_chung_lu(h, seed=(args.seed << 64) ^ rep)
         with open(path, "w", encoding="utf-8") as fh:
             dump_hypergraph(h_rand, fh)
-        manifest.outputs[path] = ""
-    manifest.elapsed_seconds = time.perf_counter() - start
-    _emit_manifest(manifest, args.out + ".0.txt")
-    return 0
+        written.append(path)
+    return None, written
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args):
     catalog = enumerate_catalog(args.arity, args.states)
     rows = [
         {"id": t, "pattern": pattern, "open": is_open}
         for t, pattern, is_open in zip(catalog.ids, _patterns(catalog), catalog.open_flags)
     ]
-    with _output(args.out) as out:
-        document = {"arity": args.arity, "states": args.states}
-        _write_rows(out, args.json, rows, document, "patterns")
-    return _finish(args, _manifest_for(args, "catalog"))
+    document = {"arity": args.arity, "states": args.states}
+    return (lambda out: _write_rows(out, args.json, rows, document, "patterns")), []
 
 
-def cmd_profile_node(args) -> int:
-    start = time.perf_counter()
+def cmd_profile_node(args):
     h = load_hypergraph_path(args.input)
     mode = _mode_from_args(args)
     try:
         v = h.labels.index(args.node)
     except ValueError:
         raise EmptyInputError(f"node label {args.node} not present") from None
-    cv = node_profile(h, v, kind=args.kind, mode=mode)
-    return _finish_counts(args, "profile-node", cv, start)
+    return _counts_writer(args, node_profile(h, v, kind=args.kind, mode=mode)), []
 
 
-def cmd_profile_edge(args) -> int:
-    start = time.perf_counter()
+def cmd_profile_edge(args):
     h = load_hypergraph_path(args.input)
     mode = _mode_from_args(args)
     lg = build_line_graph(h, workers=args.threads)
-    cv = hyperedge_profile(h, lg, args.edge, mode)
-    return _finish_counts(args, "profile-edge", cv, start)
+    return _counts_writer(args, hyperedge_profile(h, lg, args.edge, mode)), []
 
 
-def cmd_recommend_samples(args) -> int:
+def cmd_recommend_samples(args):
     n = recommend_samples(
         epsilon=args.epsilon,
         delta=args.delta,
@@ -310,15 +288,10 @@ def cmd_recommend_samples(args) -> int:
         estimator=args.estimator,
         is_open=args.open,
     )
-    with _output(args.out) as out:
-        out.write(f"{n}\n")
-    manifest = _manifest_for(args, "recommend-samples")
-    _emit_manifest(manifest, args.out)
-    return 0
+    return (lambda out: out.write(f"{n}\n")), []
 
 
-def cmd_stats(args) -> int:
-    start = time.perf_counter()
+def cmd_stats(args):
     h = load_hypergraph_path(args.input)
     lg = build_line_graph(h, workers=args.threads)
     degrees = lg.degrees()
@@ -330,8 +303,8 @@ def cmd_stats(args) -> int:
         "num_wedges": lg.wedge_count,
         "max_line_degree": max(degrees) if degrees else 0,
     }
-    manifest = _manifest_for(args, "stats")
-    with _output(args.out) as out:
+
+    def write(out):
         if args.json:
             json.dump(stats, out, indent=2)
             out.write("\n")
@@ -339,24 +312,22 @@ def cmd_stats(args) -> int:
             out.write("key,value\n")
             for key, value in stats.items():
                 out.write(f"{key},{value}\n")
+
+    written = []
     if args.linegraph_out:
         with open(args.linegraph_out, "w", encoding="utf-8") as fh:
             dump_line_graph(lg, fh)
-        manifest.outputs[args.linegraph_out] = ""
-    return _finish(args, manifest, start)
+        written.append(args.linegraph_out)
+    return write, written
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args):
     with open(args.nverts, encoding="utf-8") as fh:
         nverts = fh.readlines()
     with open(args.simplices, encoding="utf-8") as fh:
         simplices = fh.readlines()
     edges = convert_nverts_format(nverts, simplices)
-    with _output(args.out) as out:
-        for e in edges:
-            out.write(" ".join(map(str, e)) + "\n")
-    manifest = _manifest_for(args, "convert")
-    return _finish(args, manifest)
+    return (lambda out: out.writelines(" ".join(map(str, e)) + "\n" for e in edges)), []
 
 
 def _add_common(p, with_mode=True, with_threads=True):
@@ -494,7 +465,10 @@ def main(argv=None) -> int:
     if getattr(args, "threads", None) is None and hasattr(args, "threads"):
         args.threads = _default_threads()
     try:
-        return args.func(args)
+        return _run(args)
+    except EnumerationAborted as exc:
+        print(f"mochy: error: {exc}: {exc.__cause__}", file=sys.stderr)
+        return 1
     except (OSError, ParseError, EmptyInputError, ValueError, IndexError) as exc:
         print(f"mochy: error: {exc}", file=sys.stderr)
         return 1

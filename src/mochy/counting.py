@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import linegraph
 from .catalog import BINARY, MotifMode, classify_batch
 from .hypergraph import Hypergraph
 from .linegraph import (
@@ -420,13 +419,14 @@ def count_otf(
     A light pre-pass finds line-graph degrees (hence the wedge count);
     neighborhoods are then computed on demand by one store of at most
     `budget` entries. The basic variant processes samples in draw order; the
-    advanced variant groups wedges by their higher-(degree, index) endpoint,
-    processes groups in descending order, and permanently evicts each
-    group's key afterwards. Triples go through count_sample_hyperwedge's
-    merge, so estimates are bit-identical to it at the same seed. `workers`
-    changes no result and no work. meta counts the store's misses
-    (recomputations) and every neighbor map computed, the advanced grouping
-    pass's one per draw included (neighbor_computations).
+    advanced variant first resolves the draws of each distinct first
+    endpoint through the store at once, then groups wedges by their
+    higher-(degree, index) endpoint, processes groups in descending order,
+    and permanently evicts each group's key afterwards. Triples go through
+    count_sample_hyperwedge's merge, so estimates are bit-identical to it at
+    the same seed. `workers` changes no result and no work. Every neighbor
+    map is computed by the store, so meta's recomputations (store misses)
+    and neighbor_computations are the same count.
     """
     if r < 1:
         raise ValueError("sample count r must be >= 1")
@@ -453,12 +453,16 @@ def count_otf(
         yield from resolve(pairs)
 
     def advanced():
-        groups: dict[int, list[tuple[int, int]]] = {}
+        positions: dict[int, list[int]] = {}
         for i, pos in draws:
-            # called through the module, as the store calls it: one patch sees every call
-            j = sorted(linegraph.hyperedge_neighbors(h, i))[pos]
-            key = i if (degrees[i], i) > (degrees[j], j) else j
-            groups.setdefault(key, []).append((i, j))
+            positions.setdefault(i, []).append(pos)
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for i, drawn in positions.items():
+            row = sorted(store.get(i, frozenset((i,))))
+            for pos in drawn:
+                j = row[pos]
+                key = i if (degrees[i], i) > (degrees[j], j) else j
+                groups.setdefault(key, []).append((i, j))
         for key in sorted(groups, key=lambda e: (degrees[e], e), reverse=True):
             yield from resolve(groups[key])
             store.evict(key)
@@ -474,7 +478,7 @@ def count_otf(
         "workers": workers,
         "budget": budget,
         "recomputations": store.recomputations,
-        "neighbor_computations": store.recomputations + (r if variant == "advanced" else 0),
+        "neighbor_computations": store.recomputations,
     }
     return CountVector(mode, _rescale_wedge_estimate(merged, mode, wedges, r), meta)
 

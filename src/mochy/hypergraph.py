@@ -122,15 +122,6 @@ class Hypergraph:
         assert sum(len(inc) for inc in self.incidence) == self.total_incidences()
 
 
-@dataclass(frozen=True)
-class IncidenceGraph:
-    """Bipartite node/hyperedge membership graph (star expansion)."""
-
-    node_ids: tuple[int, ...]
-    edge_ids: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
-
-
 def _csr_tuples(ptr: np.ndarray, values: np.ndarray, count: int) -> tuple[tuple[int, ...], ...]:
     """The CSR rows as tuples of the ids 0..count-1, one int object per id
     (a fresh int per entry would take 28 more bytes each)."""
@@ -261,16 +252,6 @@ def dump_hypergraph(h: Hypergraph, out: IO[str]) -> None:
     for e in h.edges:
         out.write(" ".join(str(h.labels[v]) for v in e))
         out.write("\n")
-
-
-def incidence_graph(h: Hypergraph) -> IncidenceGraph:
-    """Star expansion: one (node, hyperedge) pair per membership."""
-    pairs = tuple((v, i) for i, e in enumerate(h.edges) for v in e)
-    return IncidenceGraph(
-        node_ids=tuple(range(h.num_nodes)),
-        edge_ids=tuple(range(h.num_edges)),
-        pairs=pairs,
-    )
 
 
 def convert_nverts_format(nverts_lines: Sequence[str], simplices_lines: Sequence[str]) -> list[list[int]]:

@@ -1,14 +1,22 @@
 """Command-line interface: outputs, manifests, determinism, exit codes."""
 
+import argparse
 import csv
+import hashlib
 import io
 import json
 import math
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mochy.cli import _write_rows, main
+from mochy.cli import _write_rows, build_parser, main
 
 CHAIN = "1 2 3\n2 3 4\n3 4 5\n"
 
@@ -264,3 +272,115 @@ class TestSeedRange:
         seed = str((1 << 64) - 1)
         assert main(["count", chain_file, "--algo", "wedge-sample", "-r", "5",
                      "--seed", seed, "--out", out]) == 0
+
+
+def _subcommands():
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+# One run per subcommand: argv with {in} for the input file and {out} for
+# --out, plus the files besides --out that the run writes.
+RUNS = {
+    "count": (["count", "{in}", "--out", "{out}"], []),
+    "cp": (["cp", "{in}", "--replicates", "1", "--out", "{out}"], []),
+    "enumerate": (["enumerate", "{in}", "--out", "{out}"], []),
+    "randomize": (["randomize", "{in}", "--replicates", "2", "--out", "{out}"],
+                  ["{out}.0.txt", "{out}.1.txt"]),
+    "catalog": (["catalog", "--out", "{out}"], []),
+    "profile-node": (["profile-node", "{in}", "--node", "3", "--out", "{out}"], []),
+    "profile-edge": (["profile-edge", "{in}", "--edge", "1", "--out", "{out}"], []),
+    "recommend-samples": ([
+        "recommend-samples", "--estimator", "edge", "--epsilon", "0.1", "--delta",
+        "0.1", "--d-max", "2", "--count", "10", "--population", "100", "--out", "{out}",
+    ], []),
+    "stats": (["stats", "{in}", "--out", "{out}", "--linegraph-out", "{out}.lg"],
+              ["{out}.lg"]),
+    "convert": (["convert", "--nverts", "{nverts}", "--simplices", "{in}",
+                 "--out", "{out}"], []),
+}
+
+
+def _argv(command, tmp_path, text):
+    """The command's argv and its written files besides --out, with the
+    input holding text and every output in tmp_path/"out"."""
+    inputs = tmp_path / "in"
+    inputs.mkdir(exist_ok=True)
+    (tmp_path / "out").mkdir(exist_ok=True)
+    (inputs / "input.txt").write_text(text)
+    (inputs / "nverts.txt").write_text("3\n3\n3\n")  # CHAIN's nine labels, three simplices
+    paths = {
+        "in": str(inputs / "input.txt"),
+        "nverts": str(inputs / "nverts.txt"),
+        "out": str(tmp_path / "out" / "result"),
+    }
+    argv, extra = RUNS[command]
+    return [a.format(**paths) for a in argv], [f.format(**paths) for f in extra]
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", _subcommands())
+    def test_every_command_vouches_for_what_it_wrote(self, command, tmp_path):
+        argv, extra = _argv(command, tmp_path, CHAIN)
+        out = argv[argv.index("--out") + 1]
+        assert main(argv) == 0
+        written = extra if command == "randomize" else [out, *extra]
+        manifest = json.loads(Path(written[0] + ".manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["elapsed_seconds"] > 0
+        assert set(manifest["outputs"]) == set(written)
+        for path in written:
+            digest = manifest["outputs"][path]
+            assert re.fullmatch("[0-9a-f]{64}", digest)
+            assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "command", [c for c in _subcommands() if "{in}" in RUNS[c][0]]
+    )
+    def test_failed_rerun_leaves_the_good_run_untouched(self, command, tmp_path):
+        def snapshot():
+            return {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+
+        assert main(_argv(command, tmp_path, CHAIN)[0]) == 0
+        before = snapshot()
+        assert main(_argv(command, tmp_path, "1 2\n3 x\n")[0]) == 1
+        assert snapshot() == before
+
+
+# 150 random 4-node hyperedges over 60 nodes: thousands of instances, far
+# more rows than one write buffer holds
+@pytest.fixture
+def busy_file(tmp_path):
+    rng = random.Random(3)
+    path = tmp_path / "busy.txt"
+    path.write_text("".join(
+        " ".join(map(str, rng.sample(range(60), 4))) + "\n" for _ in range(150)
+    ))
+    return str(path)
+
+
+class TestEnumerateOutputFailure:
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_is_one_line_error(self, busy_file, capsys):
+        assert main(["enumerate", busy_file, "--out", "/dev/full"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"mochy: error: .*after \d+ instances.*", err[0])
+
+    def test_closed_pipe_is_one_line_error(self, busy_file, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        with open(tmp_path / "stderr.txt", "w") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-c",
+                 "import sys; from mochy.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "enumerate", busy_file],
+                stdout=subprocess.PIPE, stderr=stderr,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert proc.stdout.readline() == b"i,j,k,motif_id\n"
+            proc.stdout.close()  # what `| head -1` does
+            assert proc.wait(timeout=60) == 1
+        err = (tmp_path / "stderr.txt").read_text().splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"mochy: error: .*after \d+ instances.*", err[0])

@@ -10,7 +10,6 @@ from mochy import (
     ParseError,
     dump_hypergraph,
     from_edge_sets,
-    incidence_graph,
     load_hypergraph,
 )
 from mochy.hypergraph import convert_nverts_format
@@ -85,27 +84,6 @@ class TestRoundTrip:
         dump_hypergraph(h, buf)
         h2 = load_hypergraph(io.StringIO(buf.getvalue()))
         assert h2.num_edges == h.num_edges
-
-
-class TestIncidenceGraph:
-    def test_single_edge_expansion(self):
-        h = from_edge_sets([{0, 1}])
-        g = incidence_graph(h)
-        assert set(g.pairs) == {(0, 0), (1, 0)}
-
-    def test_pair_count_is_size_sum(self):
-        h = from_edge_sets([{0, 1, 2}, {1, 2, 3}])
-        assert len(incidence_graph(h).pairs) == 6
-
-    def test_pairs_match_membership(self):
-        rng = random.Random(11)
-        for _ in range(10):
-            h = random_hypergraph(rng)
-            g = incidence_graph(h)
-            assert set(g.pairs) == {
-                (v, i) for i, e in enumerate(h.edges) for v in e
-            }
-            assert len(g.pairs) == h.total_incidences()
 
 
 class TestDegrees:

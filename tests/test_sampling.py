@@ -219,6 +219,20 @@ class TestOnTheFly:
         assert advanced.counts == basic.counts
         assert advanced.meta["recomputations"] <= basic.meta["recomputations"]
 
+    def test_advanced_computes_no_more_neighbor_maps_than_basic(self):
+        # every endpoint, the grouping pass's included, goes through the store
+        rng = random.Random(5)
+        edges = set()
+        while len(edges) < 300:
+            edges.add(tuple(sorted(rng.sample(range(240), 4))))
+        h = from_edge_sets([set(e) for e in sorted(edges)])
+        budget = sum(build_line_graph(h).degrees()) // 10
+        basic = count_otf(h, 600, budget, seed=1, variant="basic")
+        advanced = count_otf(h, 600, budget, seed=1, variant="advanced")
+        assert advanced.counts == basic.counts
+        assert (advanced.meta["neighbor_computations"]
+                <= basic.meta["neighbor_computations"])
+
     def test_worker_invariance(self, twelve):
         a = count_otf(twelve, 48, 10, seed=11, variant="advanced", workers=1)
         b = count_otf(twelve, 48, 10, seed=11, variant="advanced", workers=4)
