@@ -12,8 +12,10 @@ import argparse
 import hashlib
 import json
 import os
+import stat
 import sys
 import time
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,10 +59,10 @@ class RunManifest:
     budget: float | None
     workers: int
     seed: int
-    motifs: str
+    motifs: str | None
     variant: str | None
-    theta: int
-    p: float
+    theta: int | None
+    p: float | None
     replicates: int | None
     elapsed_seconds: float
     outputs: dict
@@ -78,46 +80,107 @@ def _sha256(path: str) -> str:
 def _run(args) -> int:
     """Time one command, write its result to --out, emit the run's manifest.
 
-    A command loads and computes, then returns (write, written): a function
+    A command loads and computes, then returns (write, extra): a function
     that writes its result to a text handle (None when --out is not a file,
-    as randomize's prefix), and the other files it wrote. --out is opened
-    only after that, so a failed run leaves it as it was. The manifest holds
-    a checksum of every file written; it goes next to --out (next to the
-    first written file without one), or to stderr when --out is stdout.
+    as randomize's prefix), and the (path, write) pairs of its other files.
+    The manifest holds a checksum of every file written; it goes next to
+    --out (next to the first other file without one), or to stderr when
+    --out is stdout. Every regular file is written to a temporary file
+    beside it, and all of them replace their targets only once every write
+    has succeeded, so a failed run leaves the earlier outputs and manifest
+    as they were.
     """
     start = time.perf_counter()
-    write, written = args.func(args)
-    anchor = args.out if write else written[0]
+    write, extra = args.func(args)
+    files = dict(extra)
     if write and args.out == "-":
         write(sys.stdout)
     elif write:
-        with open(args.out, "w", encoding="utf-8") as out:
-            write(out)
-        written = [args.out, *written]
-    elapsed = time.perf_counter() - start
-    manifest = RunManifest(
-        command=args.command,
-        input=getattr(args, "input", None),
-        algorithm=getattr(args, "algo", None),
-        samples=getattr(args, "samples", None),
-        budget=getattr(args, "budget", None),
-        workers=getattr(args, "threads", 1),
-        seed=getattr(args, "seed", 0),
-        motifs=getattr(args, "motifs", "binary"),
-        variant=getattr(args, "variant", None),
-        theta=getattr(args, "theta", 1),
-        p=getattr(args, "p", 0.5),
-        replicates=getattr(args, "replicates", None),
-        elapsed_seconds=elapsed,
-        outputs={path: _sha256(path) for path in written},
-    )
-    payload = json.dumps(asdict(manifest), indent=2, sort_keys=True)
-    if anchor == "-":
-        print(payload, file=sys.stderr)
-    else:
-        with open(anchor + ".manifest.json", "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        files = {args.out: write, **files}
+    anchor = args.out if write else next(iter(files))
+    staged: dict[str, str] = {}  # output path -> the temporary file that replaces it
+    try:
+        for path, write_file in files.items():
+            _write_file(_stage(path, staged), write_file)
+        elapsed = time.perf_counter() - start
+        manifest = RunManifest(
+            command=args.command,
+            input=getattr(args, "input", None),
+            algorithm=getattr(args, "algo", None),
+            samples=getattr(args, "samples", None),
+            budget=getattr(args, "budget", None),
+            workers=getattr(args, "threads", 1),
+            seed=getattr(args, "seed", 0),
+            **_mode_fields(args),
+            replicates=getattr(args, "replicates", None),
+            elapsed_seconds=elapsed,
+            outputs={path: _sha256(staged.get(path, path)) for path in files},
+        )
+        payload = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
+        if anchor == "-":
+            sys.stderr.write(payload)
+        else:
+            path = anchor + ".manifest.json"
+            _write_file(_stage(path, staged), lambda fh: fh.write(payload))
+        for path, temp in list(staged.items()):
+            os.replace(temp, os.path.realpath(path))
+            del staged[path]
+    finally:
+        for temp in staged.values():
+            with suppress(OSError):
+                os.unlink(temp)
     return 0
+
+
+def _stage(path: str, staged: dict[str, str]) -> str:
+    """Where to write path's new content: a new temporary file in path's
+    directory, recorded in staged, for a regular file or one that does not
+    exist yet; path itself for a device or a pipe, which cannot be replaced.
+    The temporary file gets the mode that writing path in place would give."""
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        return path
+    head, tail = os.path.split(target)
+    temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        open(temp, "xb").close()
+    except OSError as exc:  # name the output, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    staged[path] = temp
+    if mode is not None:
+        os.chmod(temp, stat.S_IMODE(mode))
+    return temp
+
+
+def _write_file(path: str, write) -> None:
+    """Call write on a text handle to path. When it fails, its own error is
+    the one raised, not the second one that closing the handle raises while
+    it flushes what is left in its buffer."""
+    out = open(path, "w", encoding="utf-8")
+    try:
+        write(out)
+    except BaseException:
+        with suppress(OSError):
+            out.close()
+        raise
+    out.close()
+
+
+def _mode_fields(args) -> dict:
+    """The manifest's motifs, variant, theta and p: each None where the
+    command has no such option or the chosen motif mode does not read it."""
+    motifs = getattr(args, "motifs", None)
+    variant = args.variant if motifs == "ternary" else None
+    return {
+        "motifs": motifs,
+        "variant": variant,
+        "theta": args.theta if variant == "abs" else None,
+        "p": args.p if variant not in (None, "abs") else None,
+    }
 
 
 def _default_threads() -> int:
@@ -241,14 +304,11 @@ def cmd_enumerate(args):
 
 def cmd_randomize(args):
     h = load_hypergraph_path(args.input)
-    written = []
-    for rep in range(args.replicates):
-        path = f"{args.out}.{rep}.txt"
-        h_rand = randomize_chung_lu(h, seed=(args.seed << 64) ^ rep)
-        with open(path, "w", encoding="utf-8") as fh:
-            dump_hypergraph(h_rand, fh)
-        written.append(path)
-    return None, written
+
+    def writer(rep):
+        return lambda out: dump_hypergraph(randomize_chung_lu(h, seed=(args.seed << 64) ^ rep), out)
+
+    return None, [(f"{args.out}.{rep}.txt", writer(rep)) for rep in range(args.replicates)]
 
 
 def cmd_catalog(args):
@@ -313,12 +373,9 @@ def cmd_stats(args):
             for key, value in stats.items():
                 out.write(f"{key},{value}\n")
 
-    written = []
-    if args.linegraph_out:
-        with open(args.linegraph_out, "w", encoding="utf-8") as fh:
-            dump_line_graph(lg, fh)
-        written.append(args.linegraph_out)
-    return write, written
+    if not args.linegraph_out:
+        return write, []
+    return write, [(args.linegraph_out, lambda out: dump_line_graph(lg, out))]
 
 
 def cmd_convert(args):
@@ -330,10 +387,11 @@ def cmd_convert(args):
     return (lambda out: out.writelines(" ".join(map(str, e)) + "\n" for e in edges)), []
 
 
-def _add_common(p, with_mode=True, with_threads=True):
+def _add_common(p, with_mode=True, with_threads=True, with_json=True):
     p.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
-    p.add_argument("--json", action="store_true", help="JSON instead of CSV")
+    if with_json:
+        p.add_argument("--json", action="store_true", help="JSON instead of CSV")
     if with_threads:
         p.add_argument(
             "--threads",
@@ -379,9 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_cp)
 
-    p = sub.add_parser("enumerate", help="list every motif instance")
+    p = sub.add_parser("enumerate", help="list every motif instance (CSV only)")
     p.add_argument("input")
-    _add_common(p)
+    _add_common(p, with_json=False)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("randomize", help="write Chung-Lu randomized replicates")

@@ -146,7 +146,9 @@ def _first_copies(ptr: np.ndarray, members: np.ndarray) -> np.ndarray:
     suspects = np.flatnonzero(shared[group] > 1)
     sizes = np.diff(ptr)
     keep = np.ones(len(sizes), dtype=bool)
-    for size in np.unique(sizes[suspects]):
+    # a set, not np.unique: numpy 2.4 imports numpy.ma (~15 ms) on a
+    # process's first plain np.unique call
+    for size in sorted(set(sizes[suspects].tolist())):
         rows = suspects[sizes[suspects] == size]
         block = members[ptr[rows, None] + np.arange(size)]
         firsts = np.unique(block, axis=0, return_index=True)[1]

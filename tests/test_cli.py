@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import math
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,7 @@ import pytest
 from mochy.cli import _write_rows, build_parser, main
 
 CHAIN = "1 2 3\n2 3 4\n3 4 5\n"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -164,6 +167,11 @@ class TestMisc:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert sum(int(r["open"]) for r in rows) == 6
+
+    def test_enumerate_has_no_json_flag(self, chain_file):
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate", chain_file, "--json"])
+        assert info.value.code == 2
 
     def test_enumerate_chain(self, chain_file, tmp_path):
         out = str(tmp_path / "inst.csv")
@@ -319,7 +327,49 @@ def _argv(command, tmp_path, text):
     return [a.format(**paths) for a in argv], [f.format(**paths) for f in extra]
 
 
+# The manifest's mode fields per run of RUNS: None where the command has no
+# such option or the motif mode does not read it.
+BINARY_FIELDS = {"motifs": "binary", "variant": None, "theta": None, "p": None}
+NO_FIELDS = dict.fromkeys(BINARY_FIELDS)
+MODE_FIELDS = {
+    "count": BINARY_FIELDS,
+    "cp": BINARY_FIELDS,
+    "enumerate": BINARY_FIELDS,
+    "randomize": NO_FIELDS,
+    "catalog": NO_FIELDS,
+    "profile-node": BINARY_FIELDS,
+    "profile-edge": BINARY_FIELDS,
+    "recommend-samples": NO_FIELDS,
+    "stats": NO_FIELDS,
+    "convert": NO_FIELDS,
+}
+
+
 class TestManifest:
+    @pytest.mark.parametrize("command", _subcommands())
+    def test_mode_fields_only_where_they_apply(self, command, tmp_path):
+        argv, extra = _argv(command, tmp_path, CHAIN)
+        assert main(argv) == 0
+        anchor = extra[0] if command == "randomize" else argv[argv.index("--out") + 1]
+        manifest = json.loads(Path(anchor + ".manifest.json").read_text())
+        assert {key: manifest[key] for key in BINARY_FIELDS} == MODE_FIELDS[command]
+
+    @pytest.mark.parametrize("flags, fields", [
+        (["--variant", "mr", "--p", "0.3", "--theta", "2"], BINARY_FIELDS),
+        (["--motifs", "ternary", "--theta", "2", "--p", "0.3"],
+         {"motifs": "ternary", "variant": "abs", "theta": 2, "p": None}),
+        (["--motifs", "ternary", "--variant", "mr", "--p", "0.3", "--theta", "2"],
+         {"motifs": "ternary", "variant": "mr", "theta": None, "p": 0.3}),
+        (["--motifs", "ternary", "--variant", "hr-mean"],
+         {"motifs": "ternary", "variant": "hr-mean", "theta": None, "p": 0.5}),
+    ])
+    def test_mode_fields_follow_the_motif_mode(self, flags, fields, tmp_path):
+        argv, _ = _argv("count", tmp_path, CHAIN)
+        assert main([*argv, *flags]) == 0
+        out = argv[argv.index("--out") + 1]
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert {key: manifest[key] for key in BINARY_FIELDS} == fields
+
     @pytest.mark.parametrize("command", _subcommands())
     def test_every_command_vouches_for_what_it_wrote(self, command, tmp_path):
         argv, extra = _argv(command, tmp_path, CHAIN)
@@ -384,3 +434,66 @@ class TestEnumerateOutputFailure:
         err = (tmp_path / "stderr.txt").read_text().splitlines()
         assert len(err) == 1
         assert re.fullmatch(r"mochy: error: .*after \d+ instances.*", err[0])
+
+
+
+def _listing(directory):
+    """Every file in directory, hidden ones included, with its bytes."""
+    return {p.name: p.read_bytes() for p in Path(directory).iterdir()}
+
+
+class TestAtomicOutputs:
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
+    def test_file_size_limit_keeps_the_earlier_output(self, busy_file, tmp_path):
+        (tmp_path / "out").mkdir()
+        out = str(tmp_path / "out" / "enum.csv")
+        assert main(["enumerate", busy_file, "--out", out]) == 0
+        before = _listing(tmp_path / "out")
+        limit = 1 << 16
+        assert len(before["enum.csv"]) > limit
+        # Python ignores SIGXFSZ, so a write past the limit fails with EFBIG.
+        # The child lowers its own limit: preexec_fn is unsafe in a parent
+        # that runs threads.
+        code = (
+            "import resource, sys; "
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]; "
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard)); "
+            "from mochy.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, "enumerate", busy_file, "--out", out],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert done.returncode == 1
+        err = done.stderr.splitlines()
+        assert len(err) == 1
+        # the write's own error, not the one closing the handle raises
+        assert re.fullmatch(
+            rf"mochy: error: .*after \d+ instances: \[Errno {errno.EFBIG}\].*", err[0]
+        )
+        assert _listing(tmp_path / "out") == before
+
+    def test_failed_extra_file_replaces_no_output(self, chain_file, twelve_file, tmp_path):
+        (tmp_path / "out").mkdir()
+        out = str(tmp_path / "out" / "stats.csv")
+        lg_out = str(tmp_path / "out" / "lg.csv")
+        assert main(["stats", chain_file, "--out", out, "--linegraph-out", lg_out]) == 0
+        before = _listing(tmp_path / "out")
+        missing = str(tmp_path / "missing" / "lg.csv")
+        assert main(["stats", twelve_file, "--out", out, "--linegraph-out", missing]) == 1
+        assert _listing(tmp_path / "out") == before
+
+    def test_outputs_keep_the_mode_an_in_place_write_gives(self, chain_file, tmp_path):
+        reference = tmp_path / "reference"
+        reference.write_text("")
+        kept = tmp_path / "kept.csv"
+        kept.write_text("")
+        kept.chmod(0o640)
+        fresh = tmp_path / "fresh.csv"
+        for path in (kept, fresh):
+            assert main(["count", chain_file, "--out", str(path)]) == 0
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert fresh.stat().st_mode == reference.stat().st_mode
+        manifest = tmp_path / "fresh.csv.manifest.json"
+        assert manifest.stat().st_mode == reference.stat().st_mode
