@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import stat
 import sys
@@ -41,13 +42,6 @@ from .hypergraph import (
     load_hypergraph_path,
 )
 from .linegraph import build_line_graph, dump_line_graph, hyperedge_degrees
-from .nullmodel import NullModelConfig, null_counts, randomize_chung_lu
-from .profiles import (
-    characteristic_profile,
-    hyperedge_profile,
-    node_profile,
-    significance,
-)
 
 
 @dataclass
@@ -256,6 +250,9 @@ def cmd_count(args):
 
 
 def cmd_cp(args):
+    from .nullmodel import NullModelConfig, null_counts
+    from .profiles import characteristic_profile, significance
+
     h = load_hypergraph_path(args.input)
     mode = _mode_from_args(args)
     counts = _run_counter(args, h, mode, args.seed)
@@ -303,6 +300,8 @@ def cmd_enumerate(args):
 
 
 def cmd_randomize(args):
+    from .nullmodel import randomize_chung_lu
+
     h = load_hypergraph_path(args.input)
 
     def writer(rep):
@@ -322,16 +321,19 @@ def cmd_catalog(args):
 
 
 def cmd_profile_node(args):
+    from .profiles import node_profile
+
     h = load_hypergraph_path(args.input)
     mode = _mode_from_args(args)
-    try:
-        v = h.labels.index(args.node)
-    except ValueError:
-        raise EmptyInputError(f"node label {args.node} not present") from None
-    return _counts_writer(args, node_profile(h, v, kind=args.kind, mode=mode)), []
+    found = np.flatnonzero(h.node_labels == args.node)
+    if not len(found):
+        raise EmptyInputError(f"node label {args.node} not present")
+    return _counts_writer(args, node_profile(h, int(found[0]), kind=args.kind, mode=mode)), []
 
 
 def cmd_profile_edge(args):
+    from .profiles import hyperedge_profile
+
     h = load_hypergraph_path(args.input)
     mode = _mode_from_args(args)
     lg = build_line_graph(h, workers=args.threads)
@@ -359,7 +361,7 @@ def cmd_stats(args):
         "num_nodes": h.num_nodes,
         "num_edges": h.num_edges,
         "incidences": h.total_incidences(),
-        "max_edge_size": max(len(e) for e in h.edges),
+        "max_edge_size": int(np.diff(h.edge_ptr).max()),
         "num_wedges": lg.wedge_count,
         "max_line_degree": max(degrees) if degrees else 0,
     }
@@ -503,6 +505,10 @@ def _validate(parser, args) -> None:
     if sampling:
         if args.samples is None or args.samples < 1:
             parser.error("sampling algorithms need --samples >= 1 (-s/-r)")
+    for name in ("budget", "p", "epsilon", "delta", "count"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            parser.error(f"--{name} must be finite")
     if getattr(args, "budget", None) is not None and args.budget < 0:
         parser.error("--budget must be non-negative")
     if getattr(args, "replicates", None) is not None and args.replicates < 1:

@@ -16,7 +16,6 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -28,7 +27,6 @@ from .linegraph import (
     MemoizedNeighborStore,
     blocks,
     find,
-    hyperedge_degrees,
     ragged_range,
     ragged_ranges,
 )
@@ -176,37 +174,6 @@ def _wedge_triples(lg: LineGraph, i, j, w_ij, inner: bool = True) -> Iterator[Tr
             owner, pos = ragged_range(indptr[e], indptr[e + 1])
             rows.append((owner, indices[pos], weights[pos]))
         yield _merge_wedges(bi, bj, w_ij[block], *rows, lg.num_edges, inner)
-
-
-def _memo_triples(wedges: Iterable[tuple[int, int, dict, dict]], n: int) -> Iterator[Triples]:
-    """_merge_wedges over wedges (i, j, nbrs_i, nbrs_j) given with their
-    endpoints' neighbor maps, in blocks whose maps hold about CHUNK entries."""
-
-    def merge(block):
-        i, j, maps_i, maps_j = zip(*block)
-        w_ij = np.array([nbrs[b] for nbrs, b in zip(maps_i, j)])
-        maps = maps_i + maps_j
-        lengths = np.fromiter(map(len, maps), np.int64, len(maps))
-        owner = np.repeat(np.arange(len(maps)), lengths)
-        k = np.fromiter(chain.from_iterable(maps), np.int64, len(owner))
-        w = np.fromiter(chain.from_iterable(map(dict.values, maps)), np.int64, len(owner))
-        # one sort orders both endpoints' rows: owners of j's rows follow i's
-        order = np.argsort(owner * n + k)
-        owner, k, w = owner[order], k[order], w[order]
-        split = int(lengths[: len(i)].sum())
-        row_i = owner[:split], k[:split], w[:split]
-        row_j = owner[split:] - len(i), k[split:], w[split:]
-        return _merge_wedges(np.array(i), np.array(j), w_ij, row_i, row_j, n)
-
-    block, size = [], 0
-    for wedge in wedges:
-        block.append(wedge)
-        size += len(wedge[2]) + len(wedge[3])
-        if size >= CHUNK:
-            yield merge(block)
-            block, size = [], 0
-    if block:
-        yield merge(block)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +372,65 @@ def count_sample_hyperwedge(
     return CountVector(mode, _rescale_wedge_estimate(merged, mode, wedges, r), meta)
 
 
+def _second_endpoints(store, degrees, i, pos, variant: str):
+    """(j, w_ij, lookup): each draw's other endpoint and overlap, the entry at
+    pos in the row of i, and the store lookup that read that row. Basic looks
+    up every draw in draw order, advanced each distinct i in order of first
+    appearance; lookups go through the store in blocks of about CHUNK row
+    entries."""
+    if variant == "basic":
+        lookup = np.arange(len(i))
+    else:
+        _, first, inverse = np.unique(i, return_index=True, return_inverse=True)
+        lookup = np.argsort(np.argsort(first))[inverse]
+    by_lookup = np.argsort(lookup, kind="stable")
+    bounds = np.searchsorted(lookup[by_lookup], np.arange(lookup.max() + 2))
+    ids = i[by_lookup[bounds[:-1]]]
+    j, w_ij = np.empty(len(i), np.int32), np.empty(len(i), np.int32)
+    for block in blocks(degrees[ids], CHUNK):
+        _, nbr, wt = store.rows([store.get(e, (e,)) for e in ids[block].tolist()])
+        start = np.cumsum(degrees[ids[block]]) - degrees[ids[block]]
+        d = by_lookup[bounds[block.start] : bounds[block.stop]]
+        at = start[lookup[d] - block.start] + pos[d]
+        j[d], w_ij[d] = nbr[at], wt[at]
+    return j, w_ij, lookup
+
+
+def _wedge_order(degrees, i, j, lookup, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """The order in which the wedges (i, j) are processed and, in that order,
+    the hyperedge to evict after each, or -1. Advanced groups wedges by their
+    higher-(degree, index) endpoint in descending order and evicts it after
+    its group; a group keeps its draws' lookup, then draw order."""
+    if variant == "basic":
+        return np.arange(len(i)), np.full(len(i), -1)
+    i_wins = (degrees[i] > degrees[j]) | ((degrees[i] == degrees[j]) & (i > j))
+    key = np.where(i_wins, i, j)
+    order = np.lexsort((lookup, -key, -degrees[key]))
+    key = key[order]
+    return order, np.where(np.append(key[1:] != key[:-1], True), key, -1)
+
+
+def _store_triples(store, degrees, i, j, w_ij, evict_after) -> Iterator[Triples]:
+    """_merge_wedges over the wedges (i, j, w_ij) in order, in blocks whose
+    two rows hold at most CHUNK entries together: a block's lookups (two per
+    wedge, then its eviction) go through the store, then one rows() call."""
+    get, evict = store.get, store.evict
+    for block in blocks(degrees[i] + degrees[j], CHUNK):
+        bi, bj = i[block], j[block]
+        slots_i, slots_j = [], []
+        for x, y, key in zip(bi.tolist(), bj.tolist(), evict_after[block].tolist()):
+            pinned = (x, y)
+            slots_i.append(get(x, pinned))
+            slots_j.append(get(y, pinned))
+            if key >= 0:
+                evict(key)
+        owner, nbr, wt = store.rows(slots_i + slots_j)
+        split = np.searchsorted(owner, len(bi))
+        row_i = owner[:split], nbr[:split], wt[:split]
+        row_j = owner[split:] - len(bi), nbr[split:], wt[split:]
+        yield _merge_wedges(bi, bj, w_ij[block], row_i, row_j, store.h.num_edges)
+
+
 def count_otf(
     h: Hypergraph,
     r: int,
@@ -417,16 +443,17 @@ def count_otf(
     """Hyperwedge-sampling estimate without a precomputed line graph.
 
     A light pre-pass finds line-graph degrees (hence the wedge count);
-    neighborhoods are then computed on demand by one store of at most
-    `budget` entries. The basic variant processes samples in draw order; the
-    advanced variant first resolves the draws of each distinct first
-    endpoint through the store at once, then groups wedges by their
-    higher-(degree, index) endpoint, processes groups in descending order,
-    and permanently evicts each group's key afterwards. Triples go through
-    count_sample_hyperwedge's merge, so estimates are bit-identical to it at
-    the same seed. `workers` changes no result and no work. Every neighbor
-    map is computed by the store, so meta's recomputations (store misses)
-    and neighbor_computations are the same count.
+    neighbor rows are then computed on demand by one store of at most
+    `budget` entries. Both variants first look up each draw's first
+    endpoint to find the second one, basic once per draw, advanced once per
+    distinct endpoint. Basic then processes the wedges in draw order;
+    advanced groups them by their higher-(degree, index) endpoint, processes
+    groups in descending order, and permanently evicts each group's key
+    afterwards. Triples go through count_sample_hyperwedge's merge, so
+    estimates are bit-identical to it at the same seed. `workers` changes no
+    result and no work. The store computes every row, once per miss, so
+    meta's recomputations (store misses) and neighbor_computations are the
+    same count; store_hits and store_evictions count the rest of its work.
     """
     if r < 1:
         raise ValueError("sample count r must be >= 1")
@@ -434,41 +461,19 @@ def count_otf(
         raise ValueError("budget must be non-negative")
     if variant not in {"basic", "advanced"}:
         raise ValueError(f"unknown on-the-fly variant {variant!r}")
-    degrees = hyperedge_degrees(h, workers=workers)
-    prefix = np.cumsum([0, *degrees])
+    degrees = h.line_degrees
+    prefix = np.concatenate([[0], np.cumsum(degrees)])
     wedges = int(prefix[-1]) // 2
     if wedges == 0:
         return _no_wedges(mode, f"otf-{variant}", r, seed)
-    store = MemoizedNeighborStore(h, budget, degrees)
-    draws = zip(*(x.tolist() for x in _wedge_draws(seed, range(r), prefix)))
-
-    def resolve(pairs):
-        for i, j in pairs:
-            pinned = frozenset((i, j))
-            yield i, j, store.get(i, pinned), store.get(j, pinned)
-
-    def basic():
-        # lazy, so that each draw finds j right before its wedge's two gets
-        pairs = ((i, sorted(store.get(i, frozenset((i,))))[pos]) for i, pos in draws)
-        yield from resolve(pairs)
-
-    def advanced():
-        positions: dict[int, list[int]] = {}
-        for i, pos in draws:
-            positions.setdefault(i, []).append(pos)
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for i, drawn in positions.items():
-            row = sorted(store.get(i, frozenset((i,))))
-            for pos in drawn:
-                j = row[pos]
-                key = i if (degrees[i], i) > (degrees[j], j) else j
-                groups.setdefault(key, []).append((i, j))
-        for key in sorted(groups, key=lambda e: (degrees[e], e), reverse=True):
-            yield from resolve(groups[key])
-            store.evict(key)
-
-    scan = basic() if variant == "basic" else advanced()
-    merged = _tally(h, mode, _memo_triples(scan, h.num_edges))
+    store = MemoizedNeighborStore(h, budget, degrees.tolist())
+    i, pos = _wedge_draws(seed, range(r), prefix)
+    j, w_ij, lookup = _second_endpoints(store, degrees, i, pos, variant)
+    order, evict_after = _wedge_order(degrees, i, j, lookup, variant)
+    # only the ordered wedges stay alive through the wedge pass
+    i, j, w_ij = i[order], j[order], w_ij[order]
+    del pos, lookup, order
+    merged = _tally(h, mode, _store_triples(store, degrees, i, j, w_ij, evict_after))
     meta = {
         "algorithm": f"otf-{variant}",
         "num_edges": h.num_edges,
@@ -479,6 +484,8 @@ def count_otf(
         "budget": budget,
         "recomputations": store.recomputations,
         "neighbor_computations": store.recomputations,
+        "store_hits": store.hits,
+        "store_evictions": store.evictions,
     }
     return CountVector(mode, _rescale_wedge_estimate(merged, mode, wedges, r), meta)
 

@@ -79,11 +79,12 @@ class Hypergraph:
         return len(self.edge_ptr) - 1
 
     @cached_property
-    def line_degrees(self) -> tuple[int, ...]:
+    def line_degrees(self) -> np.ndarray:
         """Per hyperedge, the number of other hyperedges sharing a node with
         it (its line-graph degree); computed once per hypergraph."""
-        inc = self.incidence
-        return tuple(len(set().union(*(inc[v] for v in e))) - 1 for e in self.edges)
+        from .linegraph import line_degrees
+
+        return line_degrees(self)
 
     @cached_property
     def member_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,7 +97,7 @@ class Hypergraph:
         return sizes, self.edge_ptr, keys
 
     def edge_size(self, i: int) -> int:
-        return len(self.edges[i])
+        return int(self.member_arrays[0][i])
 
     def node_degree(self, v: int) -> int:
         """Number of hyperedges containing node v."""
@@ -251,9 +252,10 @@ def load_hypergraph_path(path) -> Hypergraph:
 
 def dump_hypergraph(h: Hypergraph, out: IO[str]) -> None:
     """Write the edge list using original labels, one hyperedge per line."""
-    for e in h.edges:
-        out.write(" ".join(str(h.labels[v]) for v in e))
-        out.write("\n")
+    words = list(map(str, h.node_labels[h.edge_nodes].tolist()))
+    bounds = h.edge_ptr.tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        out.write(" ".join(words[a:b]) + "\n")
 
 
 def convert_nverts_format(nverts_lines: Sequence[str], simplices_lines: Sequence[str]) -> list[list[int]]:

@@ -4,7 +4,8 @@ Hyperedges become vertices; two are adjacent iff they share a node, with
 edge weight equal to the overlap size. The line graph is stored in CSR form
 (row pointers, sorted neighbor indices, overlap weights) and built in one
 sequential numpy pass over the incidence lists, so it does not depend on any
-worker count. The memoized store recomputes neighborhoods on demand under a
+worker count. Without it, neighbor_rows computes the rows of any hyperedges
+in one ragged gather, and the memoized store serves rows on demand under a
 total-entry budget, evicting lowest-degree hyperedges first (ties broken
 toward the lower index).
 """
@@ -20,8 +21,10 @@ import numpy as np
 
 from .hypergraph import Hypergraph
 
-# Pairs per block while the line graph is built; bounds its temporaries.
+# Pairs per block while the line graph is built, or per neighbor_rows call
+# of the degree pass; each bounds its pass's temporaries.
 BUILD_BLOCK = 1 << 16
+DEGREE_BLOCK = 1 << 12
 
 
 def blocks(cost: np.ndarray, limit: int) -> Iterator[slice]:
@@ -111,16 +114,43 @@ class LineGraph:
         return tuple(dict(zip(idx[a:b], w[a:b])) for a, b in zip(bounds, bounds[1:]))
 
 
+def neighbor_rows(h: Hypergraph, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Line-graph rows of the hyperedges `ids` in one ragged gather over the
+    CSR arrays, as ragged arrays (owner, neighbor, weight) sorted by owner,
+    a position in `ids`, then neighbor; a repeated id gets a row each."""
+    ids = np.asarray(ids, dtype=np.int64)
+    owner, pos = ragged_range(h.edge_ptr[ids], h.edge_ptr[ids + 1])
+    nodes = h.edge_nodes[pos]
+    at, pos = ragged_range(h.node_ptr[nodes], h.node_ptr[nodes + 1])
+    owner, nbr = owner[at], h.node_edges[pos]
+    keep = nbr != ids[owner]
+    n = h.num_edges
+    keys = np.sort(owner[keep].astype(np.int64) * n + nbr[keep])
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    owner, nbr = np.divmod(keys[first], n)
+    weight = np.diff(first, append=len(keys)).astype(np.int32)
+    return owner.astype(np.int32), nbr.astype(np.int32), weight
+
+
 def hyperedge_neighbors(h: Hypergraph, i: int) -> dict[int, int]:
-    """Neighbor map of hyperedge i computed from incidence lists alone."""
+    """Neighbor map of hyperedge i (adjacent index -> overlap size)."""
     if not 0 <= i < h.num_edges:
         raise IndexError(f"hyperedge index {i} out of range (|E|={h.num_edges})")
-    out: dict[int, int] = {}
-    for v in h.edges[i]:
-        for j in h.incidence[v]:
-            if j != i:
-                out[j] = out.get(j, 0) + 1
-    return out
+    _, nbr, weight = neighbor_rows(h, [i])
+    return dict(zip(nbr.tolist(), weight.tolist()))
+
+
+def line_degrees(h: Hypergraph) -> np.ndarray:
+    """Line-graph degree of every hyperedge, read-only: the entries of each
+    row of neighbor_rows, over blocks of hyperedges whose member-incidence
+    pairs add up to about DEGREE_BLOCK."""
+    cost = np.add.reduceat(np.diff(h.node_ptr)[h.edge_nodes], h.edge_ptr[:-1])
+    degrees = np.zeros(h.num_edges, dtype=np.int64)
+    for block in blocks(cost, DEGREE_BLOCK):
+        owner = neighbor_rows(h, np.arange(block.start, block.stop))[0]
+        degrees[block] = np.bincount(owner, minlength=block.stop - block.start)
+    degrees.flags.writeable = False
+    return degrees
 
 
 def hyperedge_degrees(h: Hypergraph, workers: int = 1) -> list[int]:
@@ -129,7 +159,7 @@ def hyperedge_degrees(h: Hypergraph, workers: int = 1) -> list[int]:
     The degrees are computed once per hypergraph and cached on it; `workers`
     is accepted for compatibility and has no effect.
     """
-    return list(h.line_degrees)
+    return h.line_degrees.tolist()
 
 
 def build_line_graph(h: Hypergraph, workers: int = 1) -> LineGraph:
@@ -189,13 +219,20 @@ def dump_line_graph(lg: LineGraph, out) -> None:
 
 
 class MemoizedNeighborStore:
-    """Neighbor maps memoized under a budget of total stored entries.
+    """Neighbor rows memoized under a budget of total stored entries.
 
     The sum of line-graph degrees of memoized hyperedges never exceeds the
     budget. When space is needed, memoized hyperedges are evicted in
     ascending (degree, index) order, skipping pinned indices. A hyperedge
     whose degree exceeds what the budget can ever hold is computed but not
     stored.
+
+    get(i) decides a lookup on integers alone (the memoized ids, the free
+    capacity and a heap) and returns a slot, a handle to i's row; rows(slots)
+    computes the rows missed since its last call in one neighbor_rows call
+    and gathers the slots' rows. Rows live in one pool of (neighbor, weight)
+    arrays, which drops the rows no longer memoized once they outnumber the
+    memoized entries.
     """
 
     def __init__(self, h: Hypergraph, budget: int, degrees: list[int] | None = None):
@@ -205,9 +242,13 @@ class MemoizedNeighborStore:
         self.budget = budget
         self.degrees = degrees if degrees is not None else hyperedge_degrees(h)
         self.cap = budget
-        self.store: dict[int, dict[int, int]] = {}
+        self.store: dict[int, int] = {}  # memoized hyperedge -> its slot
         self._heap: list[tuple[int, int]] = []  # (degree, index), lazy deletion
-        self.recomputations = 0
+        self.recomputations = self.hits = self.evictions = 0
+        self._pending: list[int] = []  # hyperedges of the newest slots, not computed yet
+        # slot s holds its row at [_ptr[s], _ptr[s + 1]) of _nbr and _wt
+        self._ptr = np.zeros(1, dtype=np.int64)
+        self._nbr = self._wt = np.zeros(0, dtype=np.int32)
 
     def __contains__(self, i: int) -> bool:
         return i in self.store
@@ -215,7 +256,7 @@ class MemoizedNeighborStore:
     def memoized_entries(self) -> int:
         return sum(self.degrees[i] for i in self.store)
 
-    def _evict_one(self, pinned: frozenset[int]) -> bool:
+    def _evict_one(self, pinned) -> bool:
         parked = []
         evicted = False
         while self._heap:
@@ -227,30 +268,60 @@ class MemoizedNeighborStore:
                 continue
             del self.store[m]
             self.cap += d
+            self.evictions += 1
             evicted = True
             break
         for item in parked:
             heapq.heappush(self._heap, item)
         return evicted
 
-    def get(self, i: int, pinned: frozenset[int] = frozenset()) -> dict[int, int]:
-        """Neighbor map of hyperedge i, memoizing it if the budget allows."""
-        hit = self.store.get(i)
-        if hit is not None:
-            return hit
-        nbrs = hyperedge_neighbors(self.h, i)
+    def get(self, i: int, pinned=()) -> int:
+        """Slot of hyperedge i's row, memoizing the row if the budget allows;
+        `pinned` holds hyperedges this lookup must not evict. The slot is
+        valid until the next rows() call."""
+        slot = self.store.get(i)
+        if slot is not None:
+            self.hits += 1
+            return slot
+        slot = len(self._ptr) - 1 + len(self._pending)
+        self._pending.append(i)
         self.recomputations += 1
         d = self.degrees[i]
         while self.cap < d:
             if not self._evict_one(pinned):
-                return nbrs  # cannot fit: serve without memoizing
-        self.store[i] = nbrs
+                return slot  # cannot fit: serve without memoizing
+        self.store[i] = slot
         self.cap -= d
         heapq.heappush(self._heap, (d, i))
-        return nbrs
+        return slot
+
+    def rows(self, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of the given slots as ragged arrays (owner, neighbor,
+        weight), owner being a position in `slots`, sorted by owner then
+        neighbor."""
+        if self._pending:
+            owner, nbr, wt = neighbor_rows(self.h, self._pending)
+            lengths = np.bincount(owner, minlength=len(self._pending))
+            self._ptr = np.concatenate([self._ptr, self._ptr[-1] + np.cumsum(lengths)])
+            self._nbr = np.concatenate([self._nbr, nbr])
+            self._wt = np.concatenate([self._wt, wt])
+            self._pending = []
+        out = self._gather(slots)
+        if len(self._nbr) > 2 * (self.budget - self.cap):  # keep the memoized rows
+            owner, self._nbr, self._wt = self._gather(list(self.store.values()))
+            lengths = np.bincount(owner, minlength=len(self.store))
+            self._ptr = np.concatenate([[0], np.cumsum(lengths)])
+            self.store = {i: slot for slot, i in enumerate(self.store)}
+        return out
+
+    def _gather(self, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        slots = np.asarray(slots, dtype=np.int64)
+        owner, pos = ragged_range(self._ptr[slots], self._ptr[slots + 1])
+        return owner, self._nbr[pos], self._wt[pos]
 
     def evict(self, i: int) -> None:
-        """Permanently drop hyperedge i's memoized neighbors, if present."""
+        """Permanently drop hyperedge i's memoized row, if present."""
         if i in self.store:
             del self.store[i]
             self.cap += self.degrees[i]
+            self.evictions += 1

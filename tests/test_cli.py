@@ -282,6 +282,29 @@ class TestSeedRange:
                      "--seed", seed, "--out", out]) == 0
 
 
+class TestNonFiniteOptions:
+    RECOMMEND = ["recommend-samples", "--estimator", "wedge", "--epsilon", "0.1",
+                 "--delta", "0.1", "--d-max", "2", "--count", "10", "--population", "100"]
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("argv", [  # "--x=-inf", as "-inf" alone reads as an option
+        ["count", "{in}", "--algo", "otf-basic", "-r", "5", "--budget={v}"],
+        ["cp", "{in}", "--replicates", "1", "--budget={v}"],
+        ["cp", "{in}", "--replicates", "1", "--epsilon={v}"],
+        ["count", "{in}", "--motifs", "ternary", "--variant", "mr", "--p={v}"],
+        [*RECOMMEND, "--epsilon={v}"],
+        [*RECOMMEND, "--delta={v}"],
+        [*RECOMMEND, "--count={v}"],
+    ])
+    def test_is_one_line_usage_error(self, argv, value, chain_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([a.format(**{"in": chain_file, "v": value}) for a in argv])
+        assert info.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].endswith("must be finite")
+        assert not any("Traceback" in line for line in err)
+
+
 def _subcommands():
     parser = build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -2,9 +2,11 @@
 
 The counting digests were produced by the per-triple reference implementation
 that the batched kernel replaced, and the cp/randomize digests by the
-call-by-call Chung-Lu redraw that the vectorized one replaced; any change to
-counting, sampling draws, the null model's draws, on-the-fly access order or
-output formatting shows up here as a different sha256.
+call-by-call Chung-Lu redraw that the vectorized one replaced, and the
+stats/profile-node digests by the tuple-view reads that the array reads
+replaced; any change to counting, sampling draws, the null model's draws,
+on-the-fly access order or output formatting shows up here as a different
+sha256.
 """
 
 import hashlib
@@ -63,6 +65,18 @@ GOLDEN = {
     "enumerate": (
         ["enumerate"],
         "9bfaa3cae1bc7805b1d192b26d97a5e8c875d121cf53f58e43d1ac5beb32c7c7",
+    ),
+    "stats": (
+        ["stats"],
+        "6311580e8eebf7913ad5c054b9e9c4eeb6ffa7d4008f28cad125a0f8ea41a5f0",
+    ),
+    "stats-json": (
+        ["stats", "--json"],
+        "0680c13b4f9e427bc41c95c093401518943f109132794ccf4a25288185d39b6e",
+    ),
+    "profile-node": (
+        ["profile-node", "--node", "4"],
+        "2dd33f73f72e61533fcc73ab3156f8435f8b2cf3f821d9950319c9f2dcf7a5d7",
     ),
 }
 

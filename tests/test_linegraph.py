@@ -127,6 +127,18 @@ class TestNeighbors:
             assert hyperedge_degrees(h) == build_line_graph(h).degrees()
 
 
+def csr_row(lg, i):
+    lo, hi = lg.indptr[i], lg.indptr[i + 1]
+    return lg.indices[lo:hi].tolist(), lg.weights[lo:hi].tolist()
+
+
+def stored_row(store, i, pinned=()):
+    """Hyperedge i's row served by one store lookup, as (neighbors, weights)."""
+    owner, nbr, weight = store.rows([store.get(i, pinned)])
+    assert not owner.any()
+    return nbr.tolist(), weight.tolist()
+
+
 class TestMemoStore:
     def test_agrees_with_full_build_under_any_budget(self):
         rng = random.Random(43)
@@ -137,7 +149,7 @@ class TestMemoStore:
             for budget in {0, 1, math.ceil(full / 2), full}:
                 store = MemoizedNeighborStore(h, budget)
                 for i in range(h.num_edges):
-                    assert store.get(i) == lg.neighbors[i]
+                    assert stored_row(store, i) == csr_row(lg, i)
                 assert store.memoized_entries() <= budget
 
     def test_unbounded_budget_memoizes_everything(self, chain3):
@@ -179,8 +191,7 @@ class TestMemoStore:
     def test_oversized_edge_served_without_memoizing(self):
         h = from_edge_sets([{0, 1}, {0, 2}, {0, 3}])  # every degree is 2
         store = MemoizedNeighborStore(h, budget=1)
-        nbrs = store.get(0)
-        assert nbrs == hyperedge_neighbors(h, 0)
+        assert stored_row(store, 0) == csr_row(build_line_graph(h), 0)
         assert 0 not in store
 
     def test_negative_budget_rejected(self, chain3):

@@ -14,6 +14,7 @@ from mochy import (
     count_sample_hyperedge,
     count_sample_hyperwedge,
     from_edge_sets,
+    hyperedge_degrees,
 )
 from mochy import linegraph
 
@@ -242,13 +243,14 @@ class TestOnTheFly:
     @pytest.mark.parametrize("variant", ["basic", "advanced"])
     def test_neighbor_computations_count_every_call(self, twelve, monkeypatch, variant):
         calls = []
-        original = linegraph.hyperedge_neighbors
+        original = linegraph.neighbor_rows
 
-        def counted(h, i):
-            calls.append(i)
-            return original(h, i)
+        def counted(h, ids):
+            calls.extend(ids)
+            return original(h, ids)
 
-        monkeypatch.setattr(linegraph, "hyperedge_neighbors", counted)
+        hyperedge_degrees(twelve)  # the degree pass, cached on the hypergraph
+        monkeypatch.setattr(linegraph, "neighbor_rows", counted)
         for budget in (0, 10, 1000):
             calls.clear()
             cv = count_otf(twelve, 48, budget, seed=11, variant=variant)

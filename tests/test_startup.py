@@ -112,3 +112,16 @@ def test_users_thread_setting_is_kept(variable):
     )
     expected = [("2" if v == variable else None) for v in THREAD_VARIABLES]
     assert fresh(code, **{variable: "2"}) == expected
+
+
+def test_count_loads_no_null_model_or_profiles(tmp_path):
+    path = tmp_path / "chain.txt"
+    path.write_text("1 2 3\n2 3 4\n3 4 5\n")
+    code = (
+        "import json, sys; from mochy.cli import main; "
+        f"main(['count', {str(path)!r}, '--out', {str(tmp_path / 'c.csv')!r}]); "
+        f"print({LOADED})"
+    )
+    loaded = fresh(code)
+    assert "mochy.counting" in loaded
+    assert "mochy.nullmodel" not in loaded and "mochy.profiles" not in loaded
