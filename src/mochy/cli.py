@@ -235,8 +235,10 @@ def _counts_writer(args, cv: CountVector):
 
 def _run_counter(args, h, mode: MotifMode, seed: int) -> CountVector:
     if args.algo.startswith("otf-"):
-        budget = int(args.budget * sum(hyperedge_degrees(h, workers=args.threads)))
-        return count_otf(h, args.samples, budget, seed, args.algo[4:], mode, args.threads)
+        budget = args.budget * sum(hyperedge_degrees(h, workers=args.threads))
+        if not math.isfinite(budget):
+            raise ValueError(f"--budget {args.budget} times the line-graph entries overflows")
+        return count_otf(h, args.samples, int(budget), seed, args.algo[4:], mode, args.threads)
     lg = build_line_graph(h, workers=args.threads)
     if args.algo == "exact":
         return count_exact(h, lg, mode, workers=args.threads)
@@ -503,8 +505,9 @@ def _validate(parser, args) -> None:
         "edge-sample", "wedge-sample", "otf-basic", "otf-advanced"
     )
     if sampling:
-        if args.samples is None or args.samples < 1:
-            parser.error("sampling algorithms need --samples >= 1 (-s/-r)")
+        # numpy sizes the draw arrays with a C ssize_t
+        if args.samples is None or not 1 <= args.samples < 1 << 63:
+            parser.error("sampling algorithms need 1 <= --samples < 2**63 (-s/-r)")
     for name in ("budget", "p", "epsilon", "delta", "count"):
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):

@@ -621,18 +621,22 @@ def recommend_samples(
     estimator squares d_max inside the ratio, the wedge estimator does not,
     and open motifs enjoy a 1/8 constant instead of 1/18.
     """
-    if epsilon <= 0 or delta <= 0:
-        raise ValueError("epsilon and delta must be positive")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
+    if d_max < 1 or population < 1:
+        raise ValueError("d_max and population must be at least 1")
     if count <= 0:
         raise ValueError("bound undefined for motifs with zero instances")
     if estimator not in {"edge", "wedge"}:
         raise ValueError(f"unknown estimator {estimator!r}")
     log_term = math.log(2 / delta)
-    if estimator == "edge":
-        ratio = population * d_max * d_max / count
-        bound = ratio * ratio * log_term / (18 * epsilon * epsilon)
-    else:
-        ratio = population * d_max / count
-        constant = 8 if is_open else 18
-        bound = ratio * ratio * log_term / (constant * epsilon * epsilon)
-    return math.ceil(bound) + 1
+    try:
+        if estimator == "edge":
+            ratio, constant = population * d_max * d_max / count, 18
+        else:
+            ratio, constant = population * d_max / count, 8 if is_open else 18
+        return math.ceil(ratio * ratio * log_term / (constant * epsilon * epsilon)) + 1
+    except (OverflowError, ZeroDivisionError):  # beyond the float range
+        raise ValueError("the bound is too large to compute") from None

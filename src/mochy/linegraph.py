@@ -1,13 +1,14 @@
 """Weighted line graph of a hypergraph, plus a budget-bounded neighbor store.
 
 Hyperedges become vertices; two are adjacent iff they share a node, with
-edge weight equal to the overlap size. The line graph is stored in CSR form
-(row pointers, sorted neighbor indices, overlap weights) and built in one
-sequential numpy pass over the incidence lists, so it does not depend on any
-worker count. Without it, neighbor_rows computes the rows of any hyperedges
-in one ragged gather, and the memoized store serves rows on demand under a
-total-entry budget, evicting lowest-degree hyperedges first (ties broken
-toward the lower index).
+edge weight equal to the overlap size. One row kernel, neighbor_rows,
+computes the rows of any hyperedges in one ragged gather over the incidence
+lists. Run over consecutive blocks of hyperedges, it yields the CSR line
+graph (row pointers, sorted neighbor indices, overlap weights) and the
+line-graph degrees, neither depending on any worker count; without the line
+graph, the memoized store serves its rows on demand under a total-entry
+budget, evicting lowest-degree hyperedges first (ties broken toward the
+lower index).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 
 from .hypergraph import Hypergraph
 
-# Pairs per block while the line graph is built, or per neighbor_rows call
-# of the degree pass; each bounds its pass's temporaries.
-BUILD_BLOCK = 1 << 16
+# Member-incidence pairs per neighbor_rows call while the line graph is
+# built, or while the degrees are counted; each bounds its pass's temporaries.
+BUILD_BLOCK = 1 << 13
 DEGREE_BLOCK = 1 << 12
 
 
@@ -72,6 +73,7 @@ def ragged_ranges(
 class LineGraph:
     """CSR line graph: row i's neighbors are indices[indptr[i]:indptr[i + 1]],
     in ascending order, with overlap sizes in the same positions of weights.
+    indices and weights are int32, indptr int32 unless it needs int64.
     """
 
     indptr: np.ndarray
@@ -106,13 +108,6 @@ class LineGraph:
         pos, found = find(self.keys, query)
         return np.where(found, self.weights[pos], 0)
 
-    @cached_property
-    def neighbors(self) -> tuple[dict[int, int], ...]:
-        """Per hyperedge, a map adjacent index -> overlap weight (built on first use)."""
-        bounds = self.indptr.tolist()
-        idx, w = self.indices.tolist(), self.weights.tolist()
-        return tuple(dict(zip(idx[a:b], w[a:b])) for a, b in zip(bounds, bounds[1:]))
-
 
 def neighbor_rows(h: Hypergraph, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Line-graph rows of the hyperedges `ids` in one ragged gather over the
@@ -125,7 +120,8 @@ def neighbor_rows(h: Hypergraph, ids) -> tuple[np.ndarray, np.ndarray, np.ndarra
     owner, nbr = owner[at], h.node_edges[pos]
     keep = nbr != ids[owner]
     n = h.num_edges
-    keys = np.sort(owner[keep].astype(np.int64) * n + nbr[keep])
+    dtype = np.int32 if len(ids) * n < 1 << 31 else np.int64
+    keys = np.sort(owner[keep].astype(dtype) * n + nbr[keep])
     first = np.flatnonzero(np.diff(keys, prepend=-1))
     owner, nbr = np.divmod(keys[first], n)
     weight = np.diff(first, append=len(keys)).astype(np.int32)
@@ -140,14 +136,20 @@ def hyperedge_neighbors(h: Hypergraph, i: int) -> dict[int, int]:
     return dict(zip(nbr.tolist(), weight.tolist()))
 
 
+def row_blocks(h: Hypergraph, limit: int) -> Iterator[tuple]:
+    """(block, owner, neighbor, weight): neighbor_rows of the hyperedges in
+    `block`, for consecutive blocks whose member-incidence pairs add up to
+    about `limit`; owner counts from block.start."""
+    cost = np.add.reduceat(np.diff(h.node_ptr)[h.edge_nodes], h.edge_ptr[:-1])
+    for block in blocks(cost, limit):
+        yield block, *neighbor_rows(h, np.arange(block.start, block.stop))
+
+
 def line_degrees(h: Hypergraph) -> np.ndarray:
     """Line-graph degree of every hyperedge, read-only: the entries of each
-    row of neighbor_rows, over blocks of hyperedges whose member-incidence
-    pairs add up to about DEGREE_BLOCK."""
-    cost = np.add.reduceat(np.diff(h.node_ptr)[h.edge_nodes], h.edge_ptr[:-1])
+    row, over row_blocks of DEGREE_BLOCK pairs."""
     degrees = np.zeros(h.num_edges, dtype=np.int64)
-    for block in blocks(cost, DEGREE_BLOCK):
-        owner = neighbor_rows(h, np.arange(block.start, block.stop))[0]
+    for block, owner, _, _ in row_blocks(h, DEGREE_BLOCK):
         degrees[block] = np.bincount(owner, minlength=block.stop - block.start)
     degrees.flags.writeable = False
     return degrees
@@ -163,50 +165,18 @@ def hyperedge_degrees(h: Hypergraph, workers: int = 1) -> list[int]:
 
 
 def build_line_graph(h: Hypergraph, workers: int = 1) -> LineGraph:
-    """Materialize the full weighted line graph.
-
-    Two hyperedges sharing a node v make a pair in v's ascending incidence
-    list, once per shared node. The pairs are written as row-major keys
-    i * |E| + j (i < j) into one array and sorted in place: runs of equal
-    keys are the upper triangle's entries, and their lengths are the overlap
-    weights. Mirroring places each entry (i, j) in row i after the row's
-    lower entries, and (j, i) in row j in ascending i. `workers` is accepted
-    for compatibility and has no effect.
+    """Materialize the full weighted line graph: the rows of row_blocks of
+    BUILD_BLOCK pairs, concatenated. `workers` is accepted for compatibility
+    and has no effect.
     """
-    n = h.num_edges
-    dtype = np.int32 if n * n < 1 << 31 else np.int64
-    run = np.diff(h.node_ptr)
-    inc = h.node_edges.astype(dtype)
-    keys = np.empty(int((run * (run - 1) // 2).sum()), dtype)
-    # each incidence entry pairs with the later entries of its node's run
-    run_end = np.repeat(np.cumsum(run), run)
-    at = 0
-    for owner, pos in ragged_ranges(np.arange(1, len(inc) + 1), run_end, BUILD_BLOCK):
-        keys[at : at + len(owner)] = inc[owner] * n + inc[pos]
-        at += len(owner)
-    del run, inc, run_end
-    keys.sort()
-    starts = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    first = np.flatnonzero(starts)
-    upper_w = np.diff(first, append=len(keys)).astype(np.int32)
-    rows, cols = np.divmod(keys[first], n)
-    del keys, starts, first
-    low, up = np.bincount(cols, minlength=n), np.bincount(rows, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(low + up)])
+    lengths, indices, weights = [], [], []
+    for block, owner, nbr, weight in row_blocks(h, BUILD_BLOCK):
+        lengths.append(np.bincount(owner, minlength=block.stop - block.start))
+        indices.append(nbr)
+        weights.append(weight)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
     indptr = indptr.astype(np.int32 if indptr[-1] < 1 << 31 else np.int64)
-    indices = np.empty(indptr[-1], np.int32)
-    weights = np.empty(indptr[-1], np.int32)
-    entry = np.arange(len(rows), dtype=indptr.dtype)
-    # (i, j) follows the lower entries of rows 0..i and the upper ones before it
-    pos = np.cumsum(low, dtype=indptr.dtype)[rows] + entry
-    indices[pos], weights[pos] = cols, upper_w
-    # (j, i), in ascending (j, i), follows the upper entries of rows 0..j-1
-    order = np.argsort(cols * n + rows)
-    del pos, cols
-    pos = np.repeat(np.cumsum(up, dtype=indptr.dtype) - up, low) + entry
-    indices[pos], weights[pos] = rows[order], upper_w[order]
-    return LineGraph(indptr=indptr, indices=indices, weights=weights)
+    return LineGraph(indptr, np.concatenate(indices), np.concatenate(weights))
 
 
 def dump_line_graph(lg: LineGraph, out) -> None:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .catalog import BINARY, MotifMode
 from .counting import CountVector, _edge_triples, _tally, count_exact
-from .hypergraph import Hypergraph, from_edge_sets
-from .linegraph import LineGraph, build_line_graph
+from .hypergraph import Hypergraph, from_pairs
+from .linegraph import LineGraph, build_line_graph, ragged_range
 
 EGO_KINDS = ("star", "radial", "contracted")
 
@@ -105,24 +105,25 @@ def ego_network(h: Hypergraph, v: int, kind: str = "radial") -> EgoNetwork:
         raise ValueError(f"unknown ego-network kind {kind!r}")
     if not 0 <= v < h.num_nodes:
         raise IndexError(f"node id {v} out of range (|V|={h.num_nodes})")
-    neighborhood: set[int] = set()
-    for i in h.incidence[v]:
-        neighborhood.update(h.edges[i])
+    incident = h.node_edges[h.node_ptr[v] : h.node_ptr[v + 1]]
+    _, star = ragged_range(h.edge_ptr[incident], h.edge_ptr[incident + 1])
+    inside = np.zeros(h.num_nodes, dtype=bool)
+    inside[h.edge_nodes[star]] = True
+    # the memberships kept, as positions (star) or a mask, with their hyperedges
+    sizes = np.diff(h.edge_ptr)
+    row = np.repeat(np.arange(h.num_edges), sizes)
     if kind == "star":
-        members = [h.edges[i] for i in h.incidence[v]]
+        keep = star
     elif kind == "radial":
-        members = [e for e in h.edges if neighborhood.issuperset(e)]
+        whole = np.logical_and.reduceat(inside[h.edge_nodes], h.edge_ptr[:-1])
+        keep = np.repeat(whole, sizes)
     else:
-        members = []
-        for s in h.edge_sets:
-            cut = s & neighborhood
-            if cut:
-                members.append(sorted(cut))
+        keep = inside[h.edge_nodes]
     return EgoNetwork(
         kind=kind,
         center=v,
-        nodes=frozenset(neighborhood),
-        hypergraph=from_edge_sets(members),
+        nodes=frozenset(np.flatnonzero(inside).tolist()),
+        hypergraph=from_pairs(row[keep], h.edge_nodes[keep]),
     )
 
 

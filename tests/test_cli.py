@@ -305,6 +305,36 @@ class TestNonFiniteOptions:
         assert not any("Traceback" in line for line in err)
 
 
+class TestOutOfRangeInputs:
+    RECOMMEND = TestNonFiniteOptions.RECOMMEND
+    HUGE = str(10**20)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["count", "{in}", "--algo", "otf-basic", "-r", "3", "--budget", "1e308"], 1),
+        (["count", "{in}", "--algo", "edge-sample", "-s", HUGE], 2),
+        (["count", "{in}", "--algo", "wedge-sample", "-r", HUGE], 2),
+        (["count", "{in}", "--algo", "otf-basic", "-r", HUGE], 2),
+        (["count", "{in}", "--algo", "otf-advanced", "-r", str(1 << 63)], 2),
+        ([*RECOMMEND, "--delta", "5"], 1),
+        ([*RECOMMEND, "--estimator", "edge", "--delta", "3"], 1),
+        ([*RECOMMEND, "--delta", "1"], 1),
+        ([*RECOMMEND, "--d-max", "-3", "--population", "-100"], 1),
+        ([*RECOMMEND, "--count", "1e-300"], 1),
+    ])
+    def test_is_one_line_error(self, argv, code, chain_file, capsys):
+        argv = [a.format(**{"in": chain_file}) for a in argv]
+        if code == 2:
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+        else:
+            assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in err if "error" in line] == err[-1:]
+        assert err[-1].startswith("mochy: error: ")
+        assert not any("Traceback" in line for line in err)
+
+
 def _subcommands():
     parser = build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -255,3 +255,23 @@ class TestRecommendSamples:
             recommend_samples(0.0, 0.1, 2, 10, 100, "wedge")
         with pytest.raises(ValueError):
             recommend_samples(0.1, 0.1, 2, 10, 100, "line")
+
+    @pytest.mark.parametrize("estimator", ["edge", "wedge"])
+    @pytest.mark.parametrize("delta", [-0.5, 0.0, 1.0, 3.0, 5.0])
+    def test_delta_outside_the_unit_interval_rejected(self, delta, estimator):
+        with pytest.raises(ValueError, match="delta"):
+            recommend_samples(0.1, delta, 2, 10, 100, estimator)
+
+    @pytest.mark.parametrize("d_max, population", [(0, 100), (-3, 100), (2, 0), (-3, -100)])
+    def test_d_max_or_population_below_one_rejected(self, d_max, population):
+        with pytest.raises(ValueError, match="at least 1"):
+            recommend_samples(0.1, 0.1, d_max, 10, population, "wedge")
+
+    @pytest.mark.parametrize("args", [
+        (0.1, 0.1, 3, 1e-300, 100),  # the ratio squared overflows
+        (1e-200, 0.1, 3, 10, 100),  # epsilon squared underflows to 0
+        (0.1, 0.1, 10**400, 10, 100),  # d_max beyond a float
+    ])
+    def test_bound_beyond_the_float_range_rejected(self, args):
+        with pytest.raises(ValueError, match="too large"):
+            recommend_samples(*args, "edge")

@@ -118,14 +118,28 @@ def enumerated(h, mode):
 
 
 @KERNEL
-@given(hypergraphs(), chunks)
-def test_line_graph_rows_match_incidence(h, block):
+@given(hypergraphs(), chunks, st.lists(st.integers(0, 12), min_size=1, max_size=3))
+def test_line_graph_rows_match_incidence(h, block, spots):
+    # hyperedges on fresh nodes overlap no other: their rows are empty
+    edges = [sorted(e) for e in h.edge_sets]
+    for k, at in enumerate(spots):
+        edges.insert(at, [1000 + k])
+    h = from_edge_sets(edges)
     with mock.patch.object(linegraph, "BUILD_BLOCK", block):
         lg = build_line_graph(h)
+    assert lg.indices.dtype == lg.weights.dtype == np.int32
+    assert lg.indptr.dtype == np.int32  # far fewer than 2**31 entries
+    assert lg.indptr[0] == 0 and len(lg.indptr) == h.num_edges + 1
+    sets = h.edge_sets
     for i in range(h.num_edges):
-        row = lg.indices[lg.indptr[i] : lg.indptr[i + 1]].tolist()
-        assert row == sorted(hyperedge_neighbors(h, i))
-        assert lg.neighbors[i] == hyperedge_neighbors(h, i)
+        expected = [
+            (j, len(sets[i] & sets[j]))
+            for j in range(h.num_edges)
+            if j != i and sets[i] & sets[j]
+        ]
+        row = slice(lg.indptr[i], lg.indptr[i + 1])
+        assert list(zip(lg.indices[row].tolist(), lg.weights[row].tolist())) == expected
+        assert hyperedge_neighbors(h, i) == dict(expected)
 
 
 @KERNEL

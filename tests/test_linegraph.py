@@ -29,12 +29,19 @@ def pairwise_oracle(h):
     return out
 
 
+def csr_rows(lg):
+    """Per hyperedge, its CSR row as a map neighbor -> overlap weight."""
+    bounds = lg.indptr.tolist()
+    idx, w = lg.indices.tolist(), lg.weights.tolist()
+    return [dict(zip(idx[a:b], w[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
 class TestBuild:
     def test_chain_wedges(self, chain3):
         lg = build_line_graph(chain3)
         assert lg.wedge_count == 3
-        assert lg.neighbors[0] == {1: 2, 2: 1}
-        assert lg.neighbors[1] == {0: 2, 2: 2}
+        assert csr_rows(lg)[0] == {1: 2, 2: 1}
+        assert csr_rows(lg)[1] == {0: 2, 2: 2}
 
     def test_disjoint(self, disjoint3):
         assert build_line_graph(disjoint3).wedge_count == 0
@@ -44,7 +51,7 @@ class TestBuild:
         h = from_edge_sets([{1, 2, 3}, {2, 3, 4}, {3, 5}, {1, 6}])
         lg = build_line_graph(h)
         wedges = {
-            (i, j) for i in range(4) for j in lg.neighbors[i] if i < j
+            (i, j) for i in range(4) for j in csr_rows(lg)[i] if i < j
         }
         assert wedges == {(0, 1), (0, 2), (1, 2), (0, 3)}
         assert lg.wedge_count == 4
@@ -57,7 +64,7 @@ class TestBuild:
             expected = pairwise_oracle(h)
             got = {
                 (i, j): w
-                for i, nbrs in enumerate(lg.neighbors)
+                for i, nbrs in enumerate(csr_rows(lg))
                 for j, w in nbrs.items()
                 if i < j
             }
@@ -68,17 +75,18 @@ class TestBuild:
         for _ in range(10):
             h = random_hypergraph(rng)
             lg = build_line_graph(h)
-            for i, nbrs in enumerate(lg.neighbors):
+            rows = csr_rows(lg)
+            for i, nbrs in enumerate(rows):
                 for j, w in nbrs.items():
-                    assert lg.neighbors[j][i] == w
-            assert lg.wedge_count * 2 == sum(len(n) for n in lg.neighbors)
+                    assert rows[j][i] == w
+            assert lg.wedge_count * 2 == sum(len(n) for n in rows)
 
     def test_worker_count_invariance(self):
         rng = random.Random(31)
         h = random_hypergraph(rng, max_edges=12)
         lg1 = build_line_graph(h, workers=1)
         lg4 = build_line_graph(h, workers=4)
-        assert lg1.neighbors == lg4.neighbors
+        assert csr_rows(lg1) == csr_rows(lg4)
 
     def test_weight_sum_bound(self):
         # total overlap weight stays below sum of size * degree
@@ -90,12 +98,9 @@ class TestBuild:
             if lg.wedge_count == 0:
                 continue
             checked += 1
-            lhs = sum(
-                w for i, n in enumerate(lg.neighbors) for j, w in n.items() if i < j
-            )
-            rhs = sum(
-                len(h.edges[i]) * len(lg.neighbors[i]) for i in range(h.num_edges)
-            )
+            rows = csr_rows(lg)
+            lhs = sum(w for i, n in enumerate(rows) for j, w in n.items() if i < j)
+            rhs = sum(len(h.edges[i]) * len(rows[i]) for i in range(h.num_edges))
             assert lhs < rhs
 
     def test_dump_format(self, chain3):

@@ -210,6 +210,28 @@ class TestEgoNetwork:
                 }
                 assert contracted == expected_cuts
 
+    def test_matches_the_set_construction(self):
+        # the ego hypergraph built from tuple views and sets, as the library
+        # once did: same node ids, same CSR arrays in value and dtype
+        rng = random.Random(41)
+        for _ in range(20):
+            h = random_hypergraph(rng, max_edges=12)
+            for v in range(h.num_nodes):
+                nodes = set().union(*(h.edge_sets[i] for i in h.incidence[v]))
+                expected = {
+                    "star": [h.edges[i] for i in h.incidence[v]],
+                    "radial": [e for e in h.edges if nodes.issuperset(e)],
+                    "contracted": [sorted(s & nodes) for s in h.edge_sets if s & nodes],
+                }
+                for kind, members in expected.items():
+                    ego = ego_network(h, v, kind)
+                    assert ego.nodes == nodes
+                    want, got = from_edge_sets(members), ego.hypergraph
+                    arrays = ("edge_ptr", "edge_nodes", "node_ptr", "node_edges", "node_labels")
+                    for name in arrays:
+                        a, b = getattr(want, name), getattr(got, name)
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_bad_kind_and_node(self, chain3):
         with pytest.raises(ValueError):
             ego_network(chain3, 0, "spherical")
@@ -227,6 +249,13 @@ class TestNodeProfile:
         center = chain3.labels.index(3)
         np_counts = node_profile(chain3, center, "radial")
         assert np_counts.counts == count_exact(chain3, lg).counts
+
+    @pytest.mark.parametrize("kind", ["star", "radial", "contracted"])
+    def test_builds_no_tuple_views(self, kind):
+        h = random_hypergraph(random.Random(43), max_edges=12)
+        for v in range(h.num_nodes):
+            node_profile(h, v, kind)
+        assert not {"edges", "incidence", "edge_sets"} & set(h.__dict__)
 
     def test_mass_monotone_across_kinds(self):
         rng = random.Random(17)
