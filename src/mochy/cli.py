@@ -177,16 +177,6 @@ def _mode_fields(args) -> dict:
     }
 
 
-def _default_threads() -> int:
-    env = os.environ.get("MOCHY_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _mode_from_args(args) -> MotifMode:
     if args.motifs == "binary":
         return MotifMode("binary")
@@ -262,7 +252,7 @@ def cmd_cp(args):
     def replicate_counter(h_rand, rng):
         return _run_counter(args, h_rand, mode, rng.randrange(1 << 62))
 
-    null_mean, replicates = null_counts(
+    null_mean, _ = null_counts(
         h,
         replicate_counter,
         NullModelConfig(replicates=args.replicates, seed=args.seed),
@@ -400,8 +390,8 @@ def _add_common(p, with_mode=True, with_threads=True, with_json=True):
         p.add_argument(
             "--threads",
             type=int,
-            default=None,
-            help="worker count, recorded only (default: MOCHY_THREADS or machine parallelism)",
+            default=1,
+            help="worker count, recorded only",
         )
     if with_mode:
         p.add_argument("--motifs", choices=("binary", "ternary"), default="binary")
@@ -518,7 +508,7 @@ def _validate(parser, args) -> None:
         parser.error("--replicates must be >= 1")
     if getattr(args, "theta", 1) < 1:
         parser.error("--theta must be >= 1")
-    if getattr(args, "threads", None) is not None and args.threads < 1:
+    if getattr(args, "threads", 1) < 1:
         parser.error("--threads must be >= 1")
     # random.Random seeds on abs(), so a negative seed would repeat a positive one
     if hasattr(args, "seed") and not 0 <= args.seed < 1 << 64:
@@ -529,8 +519,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        args.threads = _default_threads()
     try:
         return _run(args)
     except EnumerationAborted as exc:

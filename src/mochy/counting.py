@@ -512,54 +512,62 @@ class PairOverlapStats:
     q: dict[int, tuple[int, int]]
 
 
+def _shared(motifs: np.ndarray, size: int, *columns: np.ndarray) -> list[int]:
+    """Per motif id below size, the sum of C(c, 2) over the runs of c equal
+    rows (motif, *columns)."""
+    order = np.lexsort((*columns[::-1], motifs))
+    new = np.arange(len(order)) == 0
+    for x in (motifs, *columns):
+        x = x[order]
+        new[1:] |= x[1:] != x[:-1]
+    starts = np.flatnonzero(new)
+    c = np.diff(starts, append=len(order))
+    out = np.zeros(size, dtype=np.int64)
+    np.add.at(out, motifs[order[starts]], c * (c - 1) // 2)
+    return out.tolist()
+
+
 def pair_overlap_stats(
     h: Hypergraph,
     lg: LineGraph,
     mode: MotifMode = BINARY,
     max_instances: int = 100_000,
 ) -> PairOverlapStats:
-    """Brute-force overlap statistics for variance validation.
+    """Same-motif instance-pair statistics, counted without comparing pairs.
 
-    Enumerates all instances and all same-motif instance pairs; refuses when
-    the instance count exceeds max_instances.
+    With c_t(e) and c_t(a, b) the motif-t instances containing hyperedge e and
+    pair {a, b}: p2 = sum C(c_t(a, b), 2), p1 = sum C(c_t(e), 2) - 2 p2 and
+    p0 = C(N_t, 2) - p1 - p2, as two instances share at most two hyperedges;
+    q1 is p2's sum over overlapping pairs, q0 = C(N_t, 2) - q1. Refuses past
+    max_instances, which bounds the instance arrays held, not the time.
     """
-    by_motif: dict[int, list[tuple[int, int, int]]] = {}
-    seen = 0
-
-    def sink(i, j, k, t):
-        nonlocal seen
-        seen += 1
+    chunks, seen = [], 0
+    for triples in _exact_triples(lg):
+        seen += len(triples[0])
         if seen > max_instances:
             raise InstanceCapExceeded(
                 f"more than {max_instances} instances; raise max_instances to proceed"
             )
-        by_motif.setdefault(t, []).append((i, j, k))
-
-    try:
-        enumerate_instances(h, lg, sink, mode)
-    except EnumerationAborted as exc:
-        raise exc.__cause__ from None
-    p = {}
-    q = {}
-    for t, triples in by_motif.items():
-        p_l = [0, 0, 0]
-        q_n = [0, 0]
-        tsets = [frozenset(tr) for tr in triples]
-        for x in range(len(tsets)):
-            for y in range(x + 1, len(tsets)):
-                shared = tsets[x] & tsets[y]
-                l = len(shared)
-                p_l[l] += 1
-                if l == 2:
-                    a, b = sorted(shared)
-                    q_n[1 if lg.weight(a, b) else 0] += 1
-                else:
-                    q_n[0] += 1
-        p[t] = tuple(p_l)
-        q[t] = tuple(q_n)
-    return PairOverlapStats(
-        mode=mode, counts={t: len(v) for t, v in by_motif.items()}, p=p, q=q
-    )
+        chunks.append((_classify(h, mode, triples), *triples))
+    if not seen:
+        return PairOverlapStats(mode, {}, {}, {})
+    ids, i, j, k, w_ij, w_ik, w_jk = (np.concatenate(x) for x in zip(*chunks))
+    counts = np.bincount(ids).tolist()
+    per_row = np.tile(ids, 3)
+    a, b = np.concatenate([i, i, j]), np.concatenate([j, k, k])
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    adjacent = np.concatenate([w_ij, w_ik, w_jk]) > 0
+    shared_edge = _shared(per_row, len(counts), np.concatenate([i, j, k]))
+    shared_pair = _shared(per_row, len(counts), a, b)
+    shared_wedge = _shared(per_row[adjacent], len(counts), a[adjacent], b[adjacent])
+    p, q = {}, {}
+    for t in np.flatnonzero(counts).tolist():
+        total = math.comb(counts[t], 2)
+        p2 = shared_pair[t]
+        p1 = shared_edge[t] - 2 * p2
+        p[t] = (total - p1 - p2, p1, p2)
+        q[t] = (total - shared_wedge[t], shared_wedge[t])
+    return PairOverlapStats(mode, {t: counts[t] for t in p}, p, q)
 
 
 def estimator_variance(
@@ -572,8 +580,11 @@ def estimator_variance(
 ) -> float:
     """Closed-form variance of the requested estimator for one motif.
 
-    The pair sums use ordered instance pairs, i.e. twice the unordered
-    tallies held by PairOverlapStats.
+    An instance is reached through c of the `population` sampled units: its
+    3 hyperedges for the edge estimator, and for the wedge estimator its 3
+    hyperwedges if the motif is closed, 2 if it is open. Pairs sharing n
+    units are the p (edge) or q (wedge) tallies; the pair sums use ordered
+    instance pairs, i.e. twice the unordered tallies held by PairOverlapStats.
     """
     if estimator not in {"edge", "wedge"}:
         raise ValueError(f"unknown estimator {estimator!r}")
@@ -586,24 +597,13 @@ def estimator_variance(
     if count == 0:
         return 0.0
     if estimator == "edge":
-        pairs = stats.p.get(motif_id, (0, 0, 0))
-        var = count * (population - 3) / (3 * samples)
-        var += sum(
-            2 * p_l * (l * population - 9) for l, p_l in enumerate(pairs)
-        ) / (9 * samples)
-        return var
-    pairs = stats.q.get(motif_id, (0, 0))
-    if stats.mode.catalog().is_open(motif_id):
-        var = count * (population - 2) / (2 * samples)
-        var += sum(
-            2 * q_n * (n * population - 4) for n, q_n in enumerate(pairs)
-        ) / (4 * samples)
+        pairs, c = stats.p.get(motif_id, (0, 0, 0)), 3
     else:
-        var = count * (population - 3) / (3 * samples)
-        var += sum(
-            2 * q_n * (n * population - 9) for n, q_n in enumerate(pairs)
-        ) / (9 * samples)
-    return var
+        pairs = stats.q.get(motif_id, (0, 0))
+        c = 2 if stats.mode.catalog().is_open(motif_id) else 3
+    return count * (population - c) / (c * samples) + sum(
+        2 * x * (n * population - c * c) for n, x in enumerate(pairs)
+    ) / (c * c * samples)
 
 
 def recommend_samples(

@@ -96,9 +96,6 @@ class Hypergraph:
         keys += self.edge_nodes
         return sizes, self.edge_ptr, keys
 
-    def edge_size(self, i: int) -> int:
-        return int(self.member_arrays[0][i])
-
     def node_degree(self, v: int) -> int:
         """Number of hyperedges containing node v."""
         if not 0 <= v < self.num_nodes:

@@ -72,18 +72,6 @@ def redraw_incidences(h: Hypergraph, rng: random.Random) -> tuple[np.ndarray, np
     return slot_of[draws[1::2]], node_of[draws[0::2]]
 
 
-def sample_incidence_slots(h: Hypergraph, rng: random.Random) -> list[set[int]]:
-    """Redraw all incidence pairs; returns the raw per-slot node sets.
-
-    Draw count equals the number of incidence pairs in h. Slots may come
-    back empty; repeated (node, slot) draws collapse because slots are sets.
-    """
-    slots: list[set[int]] = [set() for _ in range(h.num_edges)]
-    for j, v in zip(*(a.tolist() for a in redraw_incidences(h, rng))):
-        slots[j].add(v)
-    return slots
-
-
 def randomize_chung_lu(h: Hypergraph, seed: int = 0) -> Hypergraph:
     """One randomized hypergraph; reproducible bit-for-bit from the seed.
 
@@ -98,20 +86,20 @@ def null_counts(
     counter: Callable[[Hypergraph, random.Random], CountVector],
     cfg: NullModelConfig = NullModelConfig(),
     workers: int = 1,
-) -> tuple[CountVector, list[Hypergraph]]:
+) -> tuple[CountVector, list[CountVector]]:
     """Mean per-motif counts over randomized replicates.
 
     counter(h_rand, rng) runs any counting pipeline on one replicate; each
     replicate's randomization stream is derived from (seed, replicate), and
     counter receives it right after the redraw. Replicates run one after
-    another; `workers` is accepted for compatibility and has no effect.
-    Returns the mean vector and the replicates themselves.
+    another, and only one is held at a time; `workers` is accepted for
+    compatibility and has no effect. Returns the mean vector and the
+    per-replicate vectors it averages.
     """
-    replicates, vectors = [], []
+    vectors = []
     for rep in range(cfg.replicates):
         rng = _stream(cfg.seed, rep)
-        replicates.append(from_pairs(*redraw_incidences(h, rng)))
-        vectors.append(counter(replicates[-1], rng))
+        vectors.append(counter(from_pairs(*redraw_incidences(h, rng)), rng))
     size = len(vectors[0].counts)
     mean = [
         sum(cv.counts[t] for cv in vectors) / cfg.replicates for t in range(size)
@@ -126,4 +114,4 @@ def null_counts(
             "component": vectors[0].meta.get("algorithm"),
         },
     )
-    return out, replicates
+    return out, vectors

@@ -12,7 +12,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from mochy import Hypergraph, enumerate_catalog, from_edge_sets
+from mochy import Hypergraph, classify, enumerate_catalog, from_edge_sets
+from mochy.nullmodel import redraw_incidences
 
 
 def oracle_regions(a: frozenset, b: frozenset, c: frozenset) -> tuple[int, ...]:
@@ -69,6 +70,45 @@ def oracle_count_vector(h: Hypergraph, states: int = 2, theta: int = 1):
     for pat, n in by_pattern.items():
         counts[index[pat] - 1] = n
     return counts
+
+
+def oracle_pair_overlap_stats(h: Hypergraph, mode):
+    """(counts, p, q) as in PairOverlapStats, by comparing every pair of
+    same-motif instances; instances come from connected triples and the
+    scalar classifier, adjacency from set intersection."""
+    sets = h.edge_sets
+    by_motif: dict[int, list[frozenset[int]]] = {}
+    for triple in combinations(range(h.num_edges), 3):
+        a, b, c = (sets[x] for x in triple)
+        if oracle_connected(a, b, c):
+            by_motif.setdefault(classify(a, b, c, mode), []).append(frozenset(triple))
+    p, q = {}, {}
+    for t, triples in by_motif.items():
+        p_l = [0, 0, 0]
+        q_n = [0, 0]
+        for x, y in combinations(triples, 2):
+            shared = x & y
+            p_l[len(shared)] += 1
+            if len(shared) == 2:
+                a, b = shared
+                q_n[1 if sets[a] & sets[b] else 0] += 1
+            else:
+                q_n[0] += 1
+        p[t] = tuple(p_l)
+        q[t] = tuple(q_n)
+    return {t: len(v) for t, v in by_motif.items()}, p, q
+
+
+def sample_incidence_slots(h: Hypergraph, rng: random.Random) -> list[set[int]]:
+    """Redraw all incidence pairs; returns the raw per-slot node sets.
+
+    Draw count equals the number of incidence pairs in h. Slots may come
+    back empty; repeated (node, slot) draws collapse because slots are sets.
+    """
+    slots: list[set[int]] = [set() for _ in range(h.num_edges)]
+    for j, v in zip(*(a.tolist() for a in redraw_incidences(h, rng))):
+        slots[j].add(v)
+    return slots
 
 
 def random_hypergraph(

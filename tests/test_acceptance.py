@@ -34,9 +34,13 @@ from mochy import (
 )
 from mochy.catalog import enumerate_catalog
 from mochy.hypergraph import convert_nverts_format, from_edge_sets as build
-from mochy.nullmodel import sample_incidence_slots
 
-from conftest import TWELVE_EDGES, oracle_count_vector, random_hypergraph
+from conftest import (
+    TWELVE_EDGES,
+    oracle_count_vector,
+    random_hypergraph,
+    sample_incidence_slots,
+)
 
 TERNARY = MotifMode("abs", theta=1)
 

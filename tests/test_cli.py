@@ -232,13 +232,6 @@ class TestMisc:
         assert main(["convert", "--nverts", str(nv), "--simplices", str(sx)]) == 0
         assert capsys.readouterr().out == "1 2\n3 4 5\n"
 
-    def test_env_threads_fallback(self, chain_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("MOCHY_THREADS", "2")
-        out = str(tmp_path / "c.csv")
-        assert main(["count", chain_file, "--out", out]) == 0
-        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
-        assert manifest["workers"] == 2
-
 
 class TestWriteRows:
     def test_integers_are_exact(self):
@@ -431,6 +424,7 @@ class TestManifest:
         written = extra if command == "randomize" else [out, *extra]
         manifest = json.loads(Path(written[0] + ".manifest.json").read_text())
         assert manifest["command"] == command
+        assert manifest["workers"] == 1  # no --threads given
         assert manifest["elapsed_seconds"] > 0
         assert set(manifest["outputs"]) == set(written)
         for path in written:

@@ -3,8 +3,10 @@
 import math
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mochy import (
     MotifMode,
@@ -18,9 +20,10 @@ from mochy import (
     recommend_samples,
     ternary_refinement_map,
 )
+from mochy import counting
 from mochy.counting import EnumerationAborted, InstanceCapExceeded, PairOverlapStats
 
-from conftest import oracle_count_vector, random_hypergraph
+from conftest import oracle_count_vector, oracle_pair_overlap_stats, random_hypergraph
 
 
 class TestExact:
@@ -173,6 +176,27 @@ class TestPairOverlapStats:
     def test_cap_refuses(self, star4):
         with pytest.raises(InstanceCapExceeded):
             pair_overlap_stats(star4, build_line_graph(star4), max_instances=3)
+
+    # up to 14 hyperedges over 10 nodes: dozens to hundreds of instances,
+    # many sharing a hyperedge or a pair; chunks of 1-9 triples put chunk
+    # boundaries inside every hyperedge's run of triples
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.frozensets(st.integers(0, 9), min_size=1, max_size=5),
+            min_size=3, max_size=14, unique=True,
+        ),
+        st.integers(1, 9),
+        st.sampled_from([MotifMode("binary"), MotifMode("abs", theta=1),
+                         MotifMode("hr", p=0.5)]),
+    )
+    def test_matches_pairwise_oracle(self, edges, chunk, mode):
+        h = from_edge_sets(sorted(edges, key=sorted))
+        with mock.patch.object(counting, "CHUNK", chunk):
+            stats = pair_overlap_stats(h, build_line_graph(h), mode)
+        assert (stats.counts, stats.p, stats.q) == oracle_pair_overlap_stats(h, mode)
+        values = [*stats.counts.values(), *sum(stats.p.values(), ()), *sum(stats.q.values(), ())]
+        assert all(type(x) is int for x in values)
 
 
 class TestEstimatorVariance:

@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from mochy import EmptyInputError, from_edge_sets, load_hypergraph
 from mochy.hypergraph import from_pairs
-from mochy.nullmodel import _randbelow, randomize_chung_lu, sample_incidence_slots
+from mochy.nullmodel import _randbelow, randomize_chung_lu
+
+from conftest import sample_incidence_slots
 
 INGEST = settings(max_examples=80, deadline=None)
 

@@ -14,9 +14,8 @@ from mochy import (
     randomize_chung_lu,
 )
 from mochy.counting import _stream
-from mochy.nullmodel import sample_incidence_slots
 
-from conftest import random_hypergraph
+from conftest import random_hypergraph, sample_incidence_slots
 
 
 def label_degrees(h):
@@ -107,15 +106,20 @@ class TestNullCounts:
         return count_exact(h_rand, build_line_graph(h_rand))
 
     def test_single_replicate_equals_one_randomized_count(self, twelve):
-        mean, reps = null_counts(
-            twelve, self.exact_counter, NullModelConfig(replicates=1, seed=3)
-        )
+        received = []
+
+        def counter(h_rand, rng):
+            received.append(h_rand)
+            return self.exact_counter(h_rand, rng)
+
+        mean, reps = null_counts(twelve, counter, NullModelConfig(replicates=1, seed=3))
         rng = _stream(3, 0)
         h_rand = from_edge_sets(
             s for s in sample_incidence_slots(twelve, rng) if s
         )
         assert mean.counts == count_exact(h_rand, build_line_graph(h_rand)).counts
-        assert reps[0].edges == h_rand.edges
+        assert received[0].edges == h_rand.edges
+        assert reps[0].counts == mean.counts
 
     def test_mean_is_reproducible(self, twelve):
         cfg = NullModelConfig(replicates=5, seed=11)

@@ -13,8 +13,10 @@ from mochy import (
     count_otf,
     count_sample_hyperedge,
     count_sample_hyperwedge,
+    estimator_variance,
     from_edge_sets,
     hyperedge_degrees,
+    pair_overlap_stats,
 )
 from mochy import linegraph
 
@@ -176,6 +178,36 @@ class TestEstimatorTradeoff:
             [count_sample_hyperwedge(h, lg, r, seed)[t_star] for seed in range(runs)]
         )
         assert var_wedge <= var_edge * 1.05
+
+
+class TestVarianceTheoremAtScale:
+    def test_sample_variance_matches_formula(self):
+        # 1,000 random 4-node hyperedges over 1,000 nodes: 103,954 instances
+        # and 7,942 hyperwedges, above the default instance cap
+        rng = random.Random(11)
+        h = from_edge_sets([set(rng.sample(range(1000), 4)) for _ in range(1000)])
+        lg = build_line_graph(h)
+        stats = pair_overlap_stats(h, lg, max_instances=200_000)
+        assert sum(stats.counts.values()) > 100_000
+        top = sorted(stats.counts, key=stats.counts.get, reverse=True)[:4]
+        # For n independent estimates, the sample variance's relative standard
+        # error is sqrt(2 / (n - 1) + kurtosis / n); each estimate is a mean of
+        # r (or s) independent draws, so its excess kurtosis is the draw's
+        # divided by r and the first term dominates: 0.100 at n = 200. A band
+        # of four standard errors (0.40) leaves a normal tail of 6e-5 per check.
+        runs, r, s = 200, 100, 50
+        tolerance = 4 * math.sqrt(2 / (runs - 1))
+        for estimator, samples, population, runner in (
+            ("wedge", r, lg.wedge_count, lambda seed: count_sample_hyperwedge(h, lg, r, seed)),
+            ("edge", s, h.num_edges, lambda seed: count_sample_hyperedge(h, lg, s, seed)),
+        ):
+            estimates = [runner(seed) for seed in range(runs)]
+            for t in top:
+                empirical = statistics.variance([e[t] for e in estimates])
+                formula = estimator_variance(
+                    stats.counts[t], stats, t, samples, population, estimator
+                )
+                assert abs(empirical / formula - 1) <= tolerance, (estimator, t)
 
 
 class TestOnTheFly:
