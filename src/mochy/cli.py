@@ -27,11 +27,11 @@ from .counting import (
     ALGORITHMS,
     CountVector,
     EnumerationAborted,
+    _instances,
     count_exact,
     count_otf,
     count_sample_hyperedge,
     count_sample_hyperwedge,
-    enumerate_instances,
     recommend_samples,
 )
 from .hypergraph import (
@@ -41,7 +41,7 @@ from .hypergraph import (
     dump_hypergraph,
     load_hypergraph_path,
 )
-from .linegraph import build_line_graph, dump_line_graph, hyperedge_degrees
+from .linegraph import build_line_graph, csv_rows, dump_line_graph
 
 
 @dataclass
@@ -225,7 +225,8 @@ def _counts_writer(args, cv: CountVector):
 
 def _run_counter(args, h, mode: MotifMode, seed: int) -> CountVector:
     if args.algo.startswith("otf-"):
-        budget = args.budget * sum(hyperedge_degrees(h, workers=args.threads))
+        # a Python int, so that an overflow is an inf, not a numpy warning
+        budget = args.budget * int(h.line_degrees.sum())
         if not math.isfinite(budget):
             raise ValueError(f"--budget {args.budget} times the line-graph entries overflows")
         return count_otf(h, args.samples, int(budget), seed, args.algo[4:], mode, args.threads)
@@ -283,10 +284,16 @@ def cmd_enumerate(args):
     lg = build_line_graph(h, workers=args.threads)
 
     def write(out):
+        """One write per chunk of instances; a failed write reports the rows
+        of the chunks written before it."""
         out.write("i,j,k,motif_id\n")
-        enumerate_instances(
-            h, lg, lambda i, j, k, t: out.write(f"{i},{j},{k},{t}\n"), mode
-        )
+        written = 0
+        for chunk in _instances(h, lg, mode):
+            try:
+                out.write(csv_rows(*chunk))
+            except OSError as exc:
+                raise EnumerationAborted(written) from exc
+            written += len(chunk[0])
 
     return write, []
 
@@ -348,14 +355,13 @@ def cmd_recommend_samples(args):
 def cmd_stats(args):
     h = load_hypergraph_path(args.input)
     lg = build_line_graph(h, workers=args.threads)
-    degrees = lg.degrees()
     stats = {
         "num_nodes": h.num_nodes,
         "num_edges": h.num_edges,
         "incidences": h.total_incidences(),
         "max_edge_size": int(np.diff(h.edge_ptr).max()),
         "num_wedges": lg.wedge_count,
-        "max_line_degree": max(degrees) if degrees else 0,
+        "max_line_degree": int(np.diff(lg.indptr).max(initial=0)),
     }
 
     def write(out):

@@ -221,6 +221,15 @@ def _classify(h: Hypergraph, mode: MotifMode, triples: Triples) -> np.ndarray:
     return classify_batch(mode, (sizes[i], sizes[j], sizes[k]), w_ij, w_jk, w_ik, c_ijk)
 
 
+def _instances(
+    h: Hypergraph, lg: LineGraph, mode: MotifMode
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Every motif instance once, as chunks of arrays (i, j, k, motif_id) in
+    _exact_triples' row-major order."""
+    for triples in _exact_triples(lg):
+        yield *triples[:3], _classify(h, mode, triples)
+
+
 def _tally(h: Hypergraph, mode: MotifMode, chunks: Iterable[Triples]) -> list[int]:
     """Per-motif instance tallies of the candidate triples, as Python ints."""
     counts = np.zeros(len(mode.catalog()) + 1, dtype=np.int64)
@@ -252,7 +261,8 @@ def count_exact(
 
 
 class EnumerationAborted(RuntimeError):
-    """Raised when the enumeration sink fails; carries the partial count."""
+    """Raised when the enumeration sink, or a write of the enumerate command's
+    CSV, fails; carries the count of instances emitted before it."""
 
     def __init__(self, partial_count: int):
         self.partial_count = partial_count
@@ -269,9 +279,8 @@ def enumerate_instances(
     walk, reporting the partial count.
     """
     emitted = 0
-    for triples in _exact_triples(lg):
-        ids = _classify(h, mode, triples)
-        for row in zip(*(x.tolist() for x in triples[:3]), ids.tolist()):
+    for chunk in _instances(h, lg, mode):
+        for row in zip(*(x.tolist() for x in chunk)):
             try:
                 sink(*row)
             except Exception as exc:
@@ -542,21 +551,21 @@ def pair_overlap_stats(
     max_instances, which bounds the instance arrays held, not the time.
     """
     chunks, seen = [], 0
-    for triples in _exact_triples(lg):
-        seen += len(triples[0])
+    for chunk in _instances(h, lg, mode):
+        seen += len(chunk[0])
         if seen > max_instances:
             raise InstanceCapExceeded(
                 f"more than {max_instances} instances; raise max_instances to proceed"
             )
-        chunks.append((_classify(h, mode, triples), *triples))
+        chunks.append(chunk)
     if not seen:
         return PairOverlapStats(mode, {}, {}, {})
-    ids, i, j, k, w_ij, w_ik, w_jk = (np.concatenate(x) for x in zip(*chunks))
+    i, j, k, ids = (np.concatenate(x) for x in zip(*chunks))
     counts = np.bincount(ids).tolist()
     per_row = np.tile(ids, 3)
     a, b = np.concatenate([i, i, j]), np.concatenate([j, k, k])
     a, b = np.minimum(a, b), np.maximum(a, b)
-    adjacent = np.concatenate([w_ij, w_ik, w_jk]) > 0
+    adjacent = lg.weight(a, b) > 0
     shared_edge = _shared(per_row, len(counts), np.concatenate([i, j, k]))
     shared_pair = _shared(per_row, len(counts), a, b)
     shared_wedge = _shared(per_row[adjacent], len(counts), a[adjacent], b[adjacent])

@@ -26,6 +26,9 @@ from .hypergraph import Hypergraph
 # built, or while the degrees are counted; each bounds its pass's temporaries.
 BUILD_BLOCK = 1 << 13
 DEGREE_BLOCK = 1 << 12
+# Line-graph rows per csv_rows call in dump_line_graph: bounds the text
+# matrix, about 20 bytes a row, whatever the size of the line graph.
+DUMP_BLOCK = 1 << 16
 
 
 def blocks(cost: np.ndarray, limit: int) -> Iterator[slice]:
@@ -56,6 +59,29 @@ def ragged_range(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.
     owner = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
     offset = np.repeat(starts - np.cumsum(lengths, dtype=starts.dtype) + lengths, lengths)
     return owner, offset + np.arange(len(owner), dtype=offset.dtype)
+
+
+def csv_rows(*columns: np.ndarray) -> str:
+    """Rows of integer columns (values in [0, 2**32)) as CSV lines, the text
+    "".join(f"{a},{b},...\\n") gives, formatted at once: each column's digits
+    fill its positions of a uint8 matrix, leading zeros as zero bytes, and
+    the matrix is read back row-major without the zero bytes."""
+    values = [np.asarray(c).astype(np.uint32) for c in columns]
+    widths = [len(str(int(v.max()))) if len(v) else 1 for v in values]
+    text = np.empty((len(values[0]), sum(widths) + len(values)), np.uint8)
+    end = 0
+    for v, width in zip(values, widths):
+        end += width
+        for p in range(end - 1, end - width - 1, -1):
+            digit = v % 10 + ord("0")
+            if p < end - 1:  # a leading zero is dropped, a value 0 keeps its one
+                digit *= v > 0
+            text[:, p] = digit
+            v = v // 10
+        text[:, end] = ord(",")
+        end += 1
+    text[:, -1] = ord("\n")
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def ragged_ranges(
@@ -180,12 +206,14 @@ def build_line_graph(h: Hypergraph, workers: int = 1) -> LineGraph:
 
 
 def dump_line_graph(lg: LineGraph, out) -> None:
-    """CSV rows "i,j,weight" with i < j."""
+    """CSV rows "i,j,weight" with i < j, formatted DUMP_BLOCK rows at a time."""
     out.write("i,j,weight\n")
     rows, cols = np.divmod(lg.keys, lg.num_edges)
     upper = rows < cols
-    for i, j, w in zip(rows[upper].tolist(), cols[upper].tolist(), lg.weights[upper].tolist()):
-        out.write(f"{i},{j},{w}\n")
+    i, j, w = rows[upper], cols[upper], lg.weights[upper]
+    for lo in range(0, len(i), DUMP_BLOCK):
+        part = slice(lo, lo + DUMP_BLOCK)
+        out.write(csv_rows(i[part], j[part], w[part]))
 
 
 class MemoizedNeighborStore:

@@ -18,7 +18,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mochy import (
+    MotifMode,
+    build_line_graph,
+    dump_hypergraph,
+    enumerate_instances,
+    load_hypergraph_path,
+)
 from mochy.cli import _write_rows, build_parser, main
+
+from conftest import random_hypergraph
 
 CHAIN = "1 2 3\n2 3 4\n3 4 5\n"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -180,6 +189,26 @@ class TestMisc:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert sorted((rows[0]["i"], rows[0]["j"], rows[0]["k"])) == ["0", "1", "2"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("motifs, mode", [
+        ([], MotifMode("binary")),
+        (["--motifs", "ternary", "--variant", "hr-mean"], MotifMode("hr", sigma="mean")),
+        (["--motifs", "ternary", "--theta", "2"], MotifMode("abs", theta=2)),
+    ])
+    def test_enumerate_csv_equals_the_sink_rows(self, seed, motifs, mode, tmp_path):
+        src = tmp_path / "in.txt"
+        with open(src, "w") as fh:
+            dump_hypergraph(random_hypergraph(random.Random(seed), 30, 60), fh)
+        out = tmp_path / "inst.csv"
+        assert main(["enumerate", str(src), *motifs, "--out", str(out)]) == 0
+        h = load_hypergraph_path(str(src))
+        rows = ["i,j,k,motif_id\n"]
+        enumerate_instances(
+            h, build_line_graph(h), lambda i, j, k, t: rows.append(f"{i},{j},{k},{t}\n"), mode
+        )
+        assert len(rows) > 1
+        assert out.read_text() == "".join(rows)
 
     def test_randomize_writes_replicates(self, twelve_file, tmp_path):
         prefix = str(tmp_path / "rand")

@@ -66,6 +66,11 @@ GOLDEN = {
         ["enumerate"],
         "9bfaa3cae1bc7805b1d192b26d97a5e8c875d121cf53f58e43d1ac5beb32c7c7",
     ),
+    # three-digit motif ids
+    "enumerate-hr-mean": (
+        ["enumerate", "--motifs", "ternary", "--variant", "hr-mean"],
+        "74b215c26c40c93a8b980901ce7e59423aaa8cef688165b7c17a98e9ba49bc71",
+    ),
     "stats": (
         ["stats"],
         "6311580e8eebf7913ad5c054b9e9c4eeb6ffa7d4008f28cad125a0f8ea41a5f0",
@@ -79,6 +84,9 @@ GOLDEN = {
         "2dd33f73f72e61533fcc73ab3156f8435f8b2cf3f821d9950319c9f2dcf7a5d7",
     ),
 }
+
+# The file `stats --linegraph-out` writes.
+LINEGRAPH = "86e0aa936cc610b952a222bad112fc209bf1686a6b1082b173fcc0591b0d06ba"
 
 
 # The null model's redraw: `cp` counts two replicates, `randomize` writes three.
@@ -104,6 +112,14 @@ def test_cli_output_bytes_are_pinned(name, tmp_path):
     out = tmp_path / "out.csv"
     assert main([argv[0], str(src), *argv[1:], "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_linegraph_output_bytes_are_pinned(tmp_path):
+    src = tmp_path / "in.txt"
+    src.write_text(golden_input())
+    out, lg_out = tmp_path / "stats.csv", tmp_path / "lg.csv"
+    assert main(["stats", str(src), "--out", str(out), "--linegraph-out", str(lg_out)]) == 0
+    assert hashlib.sha256(lg_out.read_bytes()).hexdigest() == LINEGRAPH
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -5,7 +5,9 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mochy import (
     MemoizedNeighborStore,
@@ -14,7 +16,8 @@ from mochy import (
     hyperedge_degrees,
     hyperedge_neighbors,
 )
-from mochy.linegraph import dump_line_graph
+from mochy import linegraph
+from mochy.linegraph import csv_rows, dump_line_graph
 
 from conftest import random_hypergraph
 
@@ -109,6 +112,54 @@ class TestBuild:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "i,j,weight"
         assert "0,1,2" in lines and "1,2,2" in lines and "0,2,1" in lines
+
+
+def fstring_rows(*columns):
+    """csv_rows' reference: one f-string per row."""
+    return "".join(",".join(f"{x}" for x in row) + "\n" for row in zip(*columns))
+
+
+# digit-count boundaries, and the largest hyperedge index or weight
+EDGE_VALUES = [0, 1, 9, 10, 99, 100, 999, 1000, 2**31 - 1]
+VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**31 - 1))
+
+
+class TestCsvRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(1, 5),
+        dtype=st.sampled_from([np.int32, np.int64, np.uint32]),
+        data=st.data(),
+    )
+    def test_equals_fstrings(self, width, dtype, data):
+        rows = data.draw(st.lists(st.tuples(*[VALUES] * width), max_size=40))
+        columns = [[row[c] for row in rows] for c in range(width)]
+        arrays = [np.array(c, dtype=dtype) for c in columns]
+        assert csv_rows(*arrays) == fstring_rows(*columns)
+
+    def test_zero_rows(self):
+        assert csv_rows(np.zeros(0, np.int32), np.zeros(0, np.int64)) == ""
+
+    def test_all_zero_columns(self):
+        zeros = np.zeros(3, np.int32)
+        assert csv_rows(zeros, np.array([5, 0, 12]), zeros) == "0,5,0\n0,0,0\n0,12,0\n"
+
+    def test_digit_boundaries(self):
+        values = np.array(EDGE_VALUES)
+        assert csv_rows(values, values[::-1]) == fstring_rows(EDGE_VALUES, EDGE_VALUES[::-1])
+
+    @pytest.mark.parametrize("block", [1, 2, 1 << 16])
+    def test_dump_blocks_change_no_byte(self, block, monkeypatch):
+        h = random_hypergraph(random.Random(5), 30, 60)
+        lg = build_line_graph(h)
+        expected = "i,j,weight\n" + "".join(
+            f"{i},{j},{w}\n" for i, row in enumerate(csr_rows(lg))
+            for j, w in sorted(row.items()) if i < j
+        )
+        monkeypatch.setattr(linegraph, "DUMP_BLOCK", block)
+        buf = io.StringIO()
+        dump_line_graph(lg, buf)
+        assert buf.getvalue() == expected
 
 
 class TestNeighbors:
