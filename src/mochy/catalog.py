@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -134,23 +134,17 @@ class MotifCatalog:
     def is_open(self, motif_id: int) -> bool:
         return self.open_flags[motif_id - 1]
 
-    @property
+    @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
-        # lazily built canonical-vector -> 0-based position map
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = {p: i for i, p in enumerate(self.patterns)}
-            self.__dict__["_index_cache"] = cached
-        return cached
+        """Canonical vector -> 0-based position."""
+        return {p: i for i, p in enumerate(self.patterns)}
 
+    @cached_property
     def packed_id_table(self) -> np.ndarray:
         """Raw-pattern lookup: packed base-`states` key -> id (0 = invalid).
 
         Only sensible for arity 3, where counting engines classify triples.
         """
-        cached = self.__dict__.get("_packed_cache")
-        if cached is not None:
-            return cached
         n = len(self.patterns[0])
         table = np.zeros(self.states**n, dtype=np.int64)
         for raw in itertools.product(range(self.states), repeat=n):
@@ -161,7 +155,6 @@ class MotifCatalog:
                 for state in raw:
                     key = key * self.states + state
                 table[key] = pos + 1
-        self.__dict__["_packed_cache"] = table
         return table
 
 
@@ -331,7 +324,7 @@ def classify_batch(mode: MotifMode, sizes, w_ab, w_bc, w_ca, c_abc) -> np.ndarra
     for state in mode.region_states(_regions(sizes, w_ab, w_bc, w_ca, c_abc), sizes):
         key *= mode.states
         key += state
-    return mode.catalog().packed_id_table()[key]
+    return mode.catalog().packed_id_table[key]
 
 
 def classify(

@@ -79,19 +79,28 @@ def _run(args) -> int:
     as randomize's prefix), and the (path, write) pairs of its other files.
     The manifest holds a checksum of every file written; it goes next to
     --out (next to the first other file without one), or to stderr when
-    --out is stdout. Every regular file is written to a temporary file
-    beside it, and all of them replace their targets only once every write
-    has succeeded, so a failed run leaves the earlier outputs and manifest
-    as they were.
+    --out is stdout. Two outputs (the manifest included) that resolve to the
+    same file are an error, raised before anything is written. Every regular
+    file is written to a temporary file beside it, and all of them replace
+    their targets only once every write has succeeded, so a failed run
+    leaves the earlier outputs and manifest as they were.
     """
     start = time.perf_counter()
     write, extra = args.func(args)
-    files = dict(extra)
-    if write and args.out == "-":
+    to_stdout = write and args.out == "-"
+    outputs = [(args.out, write)] if write and not to_stdout else []
+    outputs += extra
+    anchor = "-" if to_stdout else outputs[0][0]
+    paths = [path for path, _ in outputs]
+    if anchor != "-":
+        paths.append(anchor + ".manifest.json")
+    targets = [os.path.realpath(path) for path in paths]
+    for n, target in enumerate(targets):
+        if target in targets[:n]:
+            raise ValueError(f"two outputs would write the same file: {paths[n]}")
+    if to_stdout:
         write(sys.stdout)
-    elif write:
-        files = {args.out: write, **files}
-    anchor = args.out if write else next(iter(files))
+    files = dict(outputs)
     staged: dict[str, str] = {}  # output path -> the temporary file that replaces it
     try:
         for path, write_file in files.items():
@@ -508,6 +517,8 @@ def _validate(parser, args) -> None:
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             parser.error(f"--{name} must be finite")
+    if args.command == "cp" and args.epsilon <= 0:
+        parser.error("--epsilon must be positive")
     if getattr(args, "budget", None) is not None and args.budget < 0:
         parser.error("--budget must be non-negative")
     if getattr(args, "replicates", None) is not None and args.replicates < 1:

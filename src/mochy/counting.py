@@ -192,7 +192,7 @@ def _triple_intersections(h: Hypergraph, i, j, k, closed) -> np.ndarray:
     idx = np.flatnonzero(closed)
     if not len(idx):
         return out
-    sizes, offsets, keys = h.member_arrays
+    sizes, keys = h.member_arrays
     n = h.num_nodes
     a, b = i[idx], j[idx]
     new_pair = (np.diff(a, prepend=-1) != 0) | (np.diff(b, prepend=-1) != 0)
@@ -201,7 +201,7 @@ def _triple_intersections(h: Hypergraph, i, j, k, closed) -> np.ndarray:
     a_small = sizes[a] <= sizes[b]
     small, other = np.where(a_small, a, b), np.where(a_small, b, a)
     shared = []
-    for p, pos in ragged_ranges(offsets[small], offsets[small + 1], CHUNK):
+    for p, pos in ragged_ranges(h.edge_ptr[small], h.edge_ptr[small + 1], CHUNK):
         node = keys[pos] - small[p] * n
         hit = find(keys, other[p] * n + node)[1]
         shared.append((p[hit], node[hit]))
@@ -475,7 +475,7 @@ def count_otf(
     wedges = int(prefix[-1]) // 2
     if wedges == 0:
         return _no_wedges(mode, f"otf-{variant}", r, seed)
-    store = MemoizedNeighborStore(h, budget, degrees.tolist())
+    store = MemoizedNeighborStore(h, budget)
     i, pos = _wedge_draws(seed, range(r), prefix)
     j, w_ij, lookup = _second_endpoints(store, degrees, i, pos, variant)
     order, evict_after = _wedge_order(degrees, i, j, lookup, variant)

@@ -40,12 +40,6 @@ class Hypergraph:
     incident hyperedge indices are node_edges[node_ptr[v]:node_ptr[v + 1]];
     node_labels[v] is node v's original input label. Build one with
     `from_pairs` (or `from_edge_sets`/`load_hypergraph`, which call it).
-
-    Views built from the arrays on first use:
-        edges: per hyperedge, a sorted tuple of member node ids.
-        incidence: per node id, sorted tuple of incident hyperedge indices.
-        labels: node id -> original input label, as a tuple.
-        edge_sets: the same memberships as frozensets.
     """
 
     edge_ptr: np.ndarray
@@ -53,22 +47,6 @@ class Hypergraph:
     node_ptr: np.ndarray
     node_edges: np.ndarray
     node_labels: np.ndarray
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, ...], ...]:
-        return _csr_tuples(self.edge_ptr, self.edge_nodes, self.num_nodes)
-
-    @cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        return _csr_tuples(self.node_ptr, self.node_edges, self.num_edges)
-
-    @cached_property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(self.node_labels.tolist())
-
-    @cached_property
-    def edge_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(e) for e in self.edges)
 
     @property
     def num_nodes(self) -> int:
@@ -87,45 +65,18 @@ class Hypergraph:
         return line_degrees(self)
 
     @cached_property
-    def member_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sizes, offsets, keys): hyperedge i's members are stored, sorted, at
-        keys[offsets[i]:offsets[i + 1]] as i * num_nodes + node, so a single
+    def member_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sizes, keys): hyperedge i's members are stored, sorted, at
+        keys[edge_ptr[i]:edge_ptr[i + 1]] as i * num_nodes + node, so a single
         searchsorted on keys tests many (hyperedge, node) memberships."""
         sizes = np.diff(self.edge_ptr).astype(np.int32)
         keys = np.repeat(np.arange(self.num_edges, dtype=np.int64) * self.num_nodes, sizes)
         keys += self.edge_nodes
-        return sizes, self.edge_ptr, keys
-
-    def node_degree(self, v: int) -> int:
-        """Number of hyperedges containing node v."""
-        if not 0 <= v < self.num_nodes:
-            raise IndexError(f"node id {v} out of range (|V|={self.num_nodes})")
-        return int(self.node_ptr[v + 1] - self.node_ptr[v])
+        return sizes, keys
 
     def total_incidences(self) -> int:
         """Sum of hyperedge sizes (= number of incidence pairs)."""
         return len(self.edge_nodes)
-
-    def validate(self) -> None:
-        """Check structural invariants; raises AssertionError on violation."""
-        seen = set()
-        for e in self.edges:
-            assert e, "empty hyperedge"
-            assert list(e) == sorted(set(e)), "members not sorted/unique"
-            assert e not in seen, f"duplicate hyperedge {e}"
-            seen.add(e)
-        for v, incident in enumerate(self.incidence):
-            for i in incident:
-                assert v in self.edge_sets[i]
-        assert sum(len(inc) for inc in self.incidence) == self.total_incidences()
-
-
-def _csr_tuples(ptr: np.ndarray, values: np.ndarray, count: int) -> tuple[tuple[int, ...], ...]:
-    """The CSR rows as tuples of the ids 0..count-1, one int object per id
-    (a fresh int per entry would take 28 more bytes each)."""
-    flat = list(map(list(range(count)).__getitem__, values.tolist()))
-    bounds = ptr.tolist()
-    return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def _first_copies(ptr: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -260,6 +211,9 @@ def convert_nverts_format(nverts_lines: Sequence[str], simplices_lines: Sequence
     member stream) into edge-list rows. Returns a list of label lists."""
     counts = [int(tok) for line in nverts_lines for tok in line.split()]
     flat = [int(tok) for line in simplices_lines for tok in line.split()]
+    for n, c in enumerate(counts, start=1):
+        if c < 0:
+            raise ValueError(f"vertex count {c} of simplex {n} is negative")
     if sum(counts) != len(flat):
         raise ValueError(
             f"member stream has {len(flat)} labels but counts sum to {sum(counts)}"

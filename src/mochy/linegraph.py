@@ -114,9 +114,6 @@ class LineGraph:
     def wedge_count(self) -> int:
         return len(self.indices) // 2
 
-    def degrees(self) -> list[int]:
-        return np.diff(self.indptr).tolist()
-
     @cached_property
     def keys(self) -> np.ndarray:
         """Row-major pair key i * num_edges + j of every entry, hence sorted."""
@@ -233,12 +230,12 @@ class MemoizedNeighborStore:
     memoized entries.
     """
 
-    def __init__(self, h: Hypergraph, budget: int, degrees: list[int] | None = None):
+    def __init__(self, h: Hypergraph, budget: int):
         if budget < 0:
             raise ValueError("budget must be non-negative")
         self.h = h
         self.budget = budget
-        self.degrees = degrees if degrees is not None else hyperedge_degrees(h)
+        self.degrees = h.line_degrees.tolist()  # ints for get's per-lookup loop
         self.cap = budget
         self.store: dict[int, int] = {}  # memoized hyperedge -> its slot
         self._heap: list[tuple[int, int]] = []  # (degree, index), lazy deletion
@@ -247,12 +244,6 @@ class MemoizedNeighborStore:
         # slot s holds its row at [_ptr[s], _ptr[s + 1]) of _nbr and _wt
         self._ptr = np.zeros(1, dtype=np.int64)
         self._nbr = self._wt = np.zeros(0, dtype=np.int32)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.store
-
-    def memoized_entries(self) -> int:
-        return sum(self.degrees[i] for i in self.store)
 
     def _evict_one(self, pinned) -> bool:
         parked = []

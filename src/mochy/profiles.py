@@ -40,7 +40,10 @@ class CharacteristicProfile:
 def significance(
     counts: CountVector, null: CountVector, epsilon: float = 1.0
 ) -> SignificanceVector:
-    """Per-motif significance (M - M_rand) / (M + M_rand + epsilon)."""
+    """Per-motif significance (M - M_rand) / (M + M_rand + epsilon); epsilon
+    must be positive, so that a motif counted 0 times in both is 0, not 0/0."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     if counts.mode != null.mode or len(counts.counts) != len(null.counts):
         raise ValueError("count vectors come from different catalogs")
     delta = tuple(

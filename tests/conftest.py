@@ -10,10 +10,35 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from mochy import Hypergraph, classify, enumerate_catalog, from_edge_sets
 from mochy.nullmodel import redraw_incidences
+
+
+def edge_sets(h: Hypergraph) -> tuple[frozenset[int], ...]:
+    """Per hyperedge, its member node ids as a frozenset."""
+    bounds = h.edge_ptr.tolist()
+    nodes = h.edge_nodes.tolist()
+    return tuple(frozenset(nodes[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def assert_valid(h: Hypergraph) -> None:
+    """The structural invariants, read from the CSR arrays: no hyperedge is
+    empty, members ascend strictly within each hyperedge, no two hyperedges
+    are equal, and every incidence entry is a membership, as many as there
+    are memberships."""
+    sizes = np.diff(h.edge_ptr)
+    assert (sizes > 0).all(), "empty hyperedge"
+    owner = np.repeat(np.arange(h.num_edges), sizes)
+    same_edge = owner[1:] == owner[:-1]
+    assert (np.diff(h.edge_nodes)[same_edge] > 0).all(), "members not sorted/unique"
+    assert len(set(edge_sets(h))) == h.num_edges, "duplicate hyperedge"
+    node_of = np.repeat(np.arange(h.num_nodes), np.diff(h.node_ptr))
+    members = owner * h.num_nodes + h.edge_nodes
+    assert np.isin(h.node_edges.astype(np.int64) * h.num_nodes + node_of, members).all()
+    assert np.diff(h.node_ptr).sum() == h.total_incidences()
 
 
 def oracle_regions(a: frozenset, b: frozenset, c: frozenset) -> tuple[int, ...]:
@@ -49,7 +74,7 @@ def oracle_ternary_state(theta: int):
 def oracle_counts(h: Hypergraph, state_of=lambda card: 1 if card else 0):
     """Naive O(|E|^3) per-pattern instance counts over connected triples."""
     out: dict[tuple[int, ...], int] = {}
-    sets = h.edge_sets
+    sets = edge_sets(h)
     for x, y, z in combinations(range(h.num_edges), 3):
         a, b, c = sets[x], sets[y], sets[z]
         if oracle_connected(a, b, c):
@@ -76,7 +101,7 @@ def oracle_pair_overlap_stats(h: Hypergraph, mode):
     """(counts, p, q) as in PairOverlapStats, by comparing every pair of
     same-motif instances; instances come from connected triples and the
     scalar classifier, adjacency from set intersection."""
-    sets = h.edge_sets
+    sets = edge_sets(h)
     by_motif: dict[int, list[frozenset[int]]] = {}
     for triple in combinations(range(h.num_edges), 3):
         a, b, c = (sets[x] for x in triple)

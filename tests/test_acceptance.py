@@ -10,6 +10,7 @@ import statistics
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mochy import (
@@ -37,6 +38,7 @@ from mochy.hypergraph import convert_nverts_format, from_edge_sets as build
 
 from conftest import (
     TWELVE_EDGES,
+    edge_sets,
     oracle_count_vector,
     random_hypergraph,
     sample_incidence_slots,
@@ -191,7 +193,7 @@ def test_criterion_07_on_the_fly_equivalence():
         lg = build_line_graph(h)
         if lg.wedge_count == 0:
             continue
-        full = sum(lg.degrees())
+        full = int(np.diff(lg.indptr).sum())
         for seed in (0, 9):
             reference = count_sample_hyperwedge(h, lg, 30, seed)
             for variant in ("basic", "advanced"):
@@ -217,15 +219,16 @@ def test_criterion_08_null_model_preservation():
         for j, slot in enumerate(slots):
             size_sums[j] += len(slot)
         out = build(s for s in slots if s)
-        for v in range(out.num_nodes):
-            degree_sums[out.labels[v]] += out.node_degree(v)
-    qual_nodes = [v for v in range(h.num_nodes) if h.node_degree(v) >= 5]
-    qual_edges = [j for j, e in enumerate(h.edges) if len(e) >= 5]
+        for label, d in zip(out.node_labels.tolist(), np.diff(out.node_ptr).tolist()):
+            degree_sums[label] += d
+    degree, size = np.diff(h.node_ptr).tolist(), np.diff(h.edge_ptr).tolist()
+    qual_nodes = [v for v in range(h.num_nodes) if degree[v] >= 5]
+    qual_edges = [j for j in range(h.num_edges) if size[j] >= 5]
     deg_ratio = sum(degree_sums[v] / replicates for v in qual_nodes) / sum(
-        h.node_degree(v) for v in qual_nodes
+        degree[v] for v in qual_nodes
     )
     size_ratio = sum(size_sums[j] / replicates for j in qual_edges) / sum(
-        len(h.edges[j]) for j in qual_edges
+        size[j] for j in qual_edges
     )
     ok = abs(deg_ratio - 1) < 0.05 and abs(size_ratio - 1) < 0.05
     report(8, ok, f"mean degree over {len(qual_nodes)} qualifying nodes at "
@@ -264,8 +267,9 @@ def test_criterion_09_profiles():
             fams = {}
             for kind in ("star", "radial", "contracted"):
                 sub = ego_network(g, v, kind).hypergraph
+                labels = sub.node_labels.tolist()
                 fams[kind] = {
-                    frozenset(sub.labels[u] for u in e) for e in sub.edges
+                    frozenset(labels[u] for u in e) for e in edge_sets(sub)
                 }
             if not (fams["star"] <= fams["radial"] <= fams["contracted"]):
                 ego_ok = False

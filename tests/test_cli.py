@@ -261,6 +261,16 @@ class TestMisc:
         assert main(["convert", "--nverts", str(nv), "--simplices", str(sx)]) == 0
         assert capsys.readouterr().out == "1 2\n3 4 5\n"
 
+    def test_convert_negative_count_is_one_line_error(self, tmp_path, capsys):
+        nv = tmp_path / "nverts.txt"
+        sx = tmp_path / "simplices.txt"
+        nv.write_text("3\n-1\n")
+        sx.write_text("1\n2\n")
+        assert main(["convert", "--nverts", str(nv), "--simplices", str(sx)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "mochy: error: vertex count -1 of simplex 2 is negative\n"
+
 
 class TestWriteRows:
     def test_integers_are_exact(self):
@@ -342,6 +352,10 @@ class TestOutOfRangeInputs:
         ([*RECOMMEND, "--delta", "1"], 1),
         ([*RECOMMEND, "--d-max", "-3", "--population", "-100"], 1),
         ([*RECOMMEND, "--count", "1e-300"], 1),
+        ([*RECOMMEND, "--epsilon", "0"], 1),
+        # 0 would make a motif counted 0 times in the input and the null 0 / 0
+        (["cp", "{in}", "--replicates", "1", "--epsilon", "0"], 2),
+        (["cp", "{in}", "--replicates", "1", "--epsilon=-1"], 2),
     ])
     def test_is_one_line_error(self, argv, code, chain_file, capsys):
         argv = [a.format(**{"in": chain_file}) for a in argv]
@@ -559,6 +573,17 @@ class TestAtomicOutputs:
         missing = str(tmp_path / "missing" / "lg.csv")
         assert main(["stats", twelve_file, "--out", out, "--linegraph-out", missing]) == 1
         assert _listing(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("lg_name", ["stats.csv", "./stats.csv", "stats.csv.manifest.json"])
+    def test_two_outputs_on_one_file_write_nothing(self, lg_name, chain_file, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        out = str(tmp_path / "out" / "stats.csv")
+        lg_out = str(tmp_path / "out" / lg_name)
+        assert main(["stats", chain_file, "--out", out, "--linegraph-out", lg_out]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("mochy: error: two outputs would write the same file")
+        assert _listing(tmp_path / "out") == {}
 
     def test_outputs_keep_the_mode_an_in_place_write_gives(self, chain_file, tmp_path):
         reference = tmp_path / "reference"

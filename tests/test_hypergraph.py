@@ -3,6 +3,7 @@
 import io
 import random
 
+import numpy as np
 import pytest
 
 from mochy import (
@@ -14,7 +15,7 @@ from mochy import (
 )
 from mochy.hypergraph import convert_nverts_format
 
-from conftest import random_hypergraph
+from conftest import assert_valid, edge_sets, random_hypergraph
 
 
 def load_lines(*lines):
@@ -31,14 +32,14 @@ class TestLoad:
         h = load_lines("7")
         assert h.num_nodes == 1
         assert h.num_edges == 1
-        assert h.edges == ((0,),)
-        assert h.labels == (7,)
+        assert (h.edge_ptr.tolist(), h.edge_nodes.tolist()) == ([0, 1], [0])
+        assert h.node_labels.tolist() == [7]
 
     def test_incidence_membership(self):
         h = load_lines("1 2 3", "2 3 4", "3 4 5")
         assert h.num_edges == 3
-        v3 = h.labels.index(3)
-        assert h.incidence[v3] == (0, 1, 2)
+        v3 = h.node_labels.tolist().index(3)
+        assert h.node_edges[h.node_ptr[v3] : h.node_ptr[v3 + 1]].tolist() == [0, 1, 2]
 
     def test_comments_blanks_commas(self):
         h = load_lines("# header", "", "1,2,3", "  ", "4 5")
@@ -58,12 +59,12 @@ class TestLoad:
 
     def test_within_line_repeats_collapse(self):
         h = load_lines("5 5 6")
-        assert h.edges == ((0, 1),)
+        assert (h.edge_ptr.tolist(), h.edge_nodes.tolist()) == ([0, 2], [0, 1])
 
     def test_validate_passes(self):
         rng = random.Random(7)
         for _ in range(20):
-            random_hypergraph(rng).validate()
+            assert_valid(random_hypergraph(rng))
 
 
 class TestRoundTrip:
@@ -74,8 +75,8 @@ class TestRoundTrip:
             buf = io.StringIO()
             dump_hypergraph(h, buf)
             h2 = load_hypergraph(io.StringIO(buf.getvalue()))
-            original = {frozenset(h.labels[v] for v in e) for e in h.edges}
-            reloaded = {frozenset(h2.labels[v] for v in e) for e in h2.edges}
+            original = {frozenset(h.node_labels[list(e)].tolist()) for e in edge_sets(h)}
+            reloaded = {frozenset(h2.node_labels[list(e)].tolist()) for e in edge_sets(h2)}
             assert original == reloaded
 
     def test_dedup_idempotent(self):
@@ -89,23 +90,22 @@ class TestRoundTrip:
 class TestDegrees:
     def test_two_edges(self):
         h = from_edge_sets([{0, 1}, {0, 2}])
-        assert h.node_degree(0) == 2
+        assert np.diff(h.node_ptr)[0] == 2
 
     def test_singleton_edge(self):
         h = from_edge_sets([{0}])
-        assert h.node_degree(0) == 1
+        assert np.diff(h.node_ptr)[0] == 1
 
     def test_out_of_range(self):
         h = from_edge_sets([{0}])
         with pytest.raises(IndexError):
-            h.node_degree(5)
+            np.diff(h.node_ptr)[5]
 
     def test_incidence_sum_invariant(self):
         rng = random.Random(13)
         for _ in range(10):
             h = random_hypergraph(rng)
-            assert sum(h.node_degree(v) for v in range(h.num_nodes)) == \
-                h.total_incidences()
+            assert np.diff(h.node_ptr).sum() == h.total_incidences()
 
 
 class TestConvert:
@@ -116,3 +116,8 @@ class TestConvert:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             convert_nverts_format(["2", "3"], ["1 2 3"])
+
+    def test_negative_count_rejected(self):
+        # 3 + -1 matches the two labels, which would drop a simplex silently
+        with pytest.raises(ValueError, match="vertex count -1 of simplex 2"):
+            convert_nverts_format(["3 -1"], ["1 2"])

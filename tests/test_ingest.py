@@ -26,10 +26,9 @@ INGEST = settings(max_examples=80, deadline=None)
 
 def reference_slots(h, rng):
     """The call-by-call redraw: two randrange(total) calls per incidence."""
-    node_prefix = [0, *accumulate(h.node_degree(v) for v in range(h.num_nodes))]
-    slot_prefix = [0, *accumulate(len(e) for e in h.edges)]
+    node_prefix, slot_prefix = h.node_ptr.tolist(), h.edge_ptr.tolist()
     total = node_prefix[-1]
-    slots = [set() for _ in h.edges]
+    slots = [set() for _ in range(h.num_edges)]
     for _ in range(total):
         v = bisect_right(node_prefix, rng.randrange(total)) - 1
         j = bisect_right(slot_prefix, rng.randrange(total)) - 1
@@ -64,13 +63,13 @@ def reference_build(edge_sets):
 
 def assert_matches_reference(h, edge_sets):
     edges, incidence, labels = reference_build(edge_sets)
-    assert (h.edges, h.incidence, h.labels) == (edges, incidence, labels)
-    # the flat arrays the kernels read, as they were flattened from tuples
+    assert h.node_labels.tolist() == list(labels)
+    # the CSR arrays hold the reference's hyperedges and incidence lists
     assert h.edge_nodes.tolist() == list(chain.from_iterable(edges))
     assert h.node_edges.tolist() == list(chain.from_iterable(incidence))
     assert h.edge_ptr.tolist() == [0, *accumulate(map(len, edges))]
     assert h.node_ptr.tolist() == [0, *accumulate(map(len, incidence))]
-    sizes, offsets, keys = h.member_arrays
+    sizes, keys = h.member_arrays
     assert sizes.tolist() == list(map(len, edges))
     assert keys.tolist() == [i * len(labels) + v for i, e in enumerate(edges) for v in e]
 
@@ -110,7 +109,7 @@ def test_builder_matches_tuple_builder(rows):
     assert_matches_reference(from_edge_sets(rows), rows)
     row_of = np.repeat(np.arange(len(rows)), list(map(len, rows)))
     h = from_pairs(row_of, list(chain.from_iterable(rows)))
-    assert (h.edges, h.labels) == reference_build(rows)[::2]
+    assert_matches_reference(h, rows)
 
 
 @INGEST

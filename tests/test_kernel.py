@@ -28,7 +28,7 @@ from mochy.linegraph import LineGraph, hyperedge_neighbors
 from mochy import counting
 from mochy.counting import _draws, _stream
 
-from conftest import oracle_count_vector, oracle_regions
+from conftest import edge_sets, oracle_count_vector, oracle_regions
 
 KERNEL = settings(max_examples=40, deadline=None)
 
@@ -83,14 +83,15 @@ def oracle_id(a, b, c, mode):
 
 
 def neighbors(h, i):
-    return [j for j in range(h.num_edges) if j != i and h.edge_sets[i] & h.edge_sets[j]]
+    sets = edge_sets(h)
+    return [j for j in range(h.num_edges) if j != i and sets[i] & sets[j]]
 
 
 def reference_instances(h, mode):
     """(i, j, k, id) in the engines' order, from sets and the scalar classify:
     row i, then neighbor pairs j < k of i, kept iff e_j, e_k are disjoint or
     i is the smallest index of a closed triple."""
-    sets = h.edge_sets
+    sets = edge_sets(h)
     for i in range(h.num_edges):
         for j, k in combinations(neighbors(h, i), 2):
             if not sets[j] & sets[k] or i < j:
@@ -99,8 +100,9 @@ def reference_instances(h, mode):
 
 def reference_tally(h, mode, triples):
     counts = [0] * len(mode.catalog())
+    sets = edge_sets(h)
     for i, j, k in triples:
-        counts[classify(h.edge_sets[i], h.edge_sets[j], h.edge_sets[k], mode) - 1] += 1
+        counts[classify(sets[i], sets[j], sets[k], mode) - 1] += 1
     return counts
 
 
@@ -121,7 +123,7 @@ def enumerated(h, mode):
 @given(hypergraphs(), chunks, st.lists(st.integers(0, 12), min_size=1, max_size=3))
 def test_line_graph_rows_match_incidence(h, block, spots):
     # hyperedges on fresh nodes overlap no other: their rows are empty
-    edges = [sorted(e) for e in h.edge_sets]
+    edges = [sorted(e) for e in edge_sets(h)]
     for k, at in enumerate(spots):
         edges.insert(at, [1000 + k])
     h = from_edge_sets(edges)
@@ -130,7 +132,7 @@ def test_line_graph_rows_match_incidence(h, block, spots):
     assert lg.indices.dtype == lg.weights.dtype == np.int32
     assert lg.indptr.dtype == np.int32  # far fewer than 2**31 entries
     assert lg.indptr[0] == 0 and len(lg.indptr) == h.num_edges + 1
-    sets = h.edge_sets
+    sets = edge_sets(h)
     for i in range(h.num_edges):
         expected = [
             (j, len(sets[i] & sets[j]))
@@ -156,7 +158,7 @@ def test_exact_counts_match_oracle(h, chunk, states_theta):
 @KERNEL
 @given(hypergraphs(), chunks, ternary_modes)
 def test_batch_ids_match_scalar_classify(h, chunk, mode):
-    sets = h.edge_sets
+    sets = edge_sets(h)
     with mock.patch.object(counting, "CHUNK", chunk):
         rows = enumerated(h, mode)
     for i, j, k, t in rows:

@@ -19,14 +19,15 @@ from mochy import (
 from mochy import linegraph
 from mochy.linegraph import csv_rows, dump_line_graph
 
-from conftest import random_hypergraph
+from conftest import edge_sets, random_hypergraph
 
 
 def pairwise_oracle(h):
     """All overlapping pairs with weights, by direct intersection."""
     out = {}
+    sets = edge_sets(h)
     for i, j in combinations(range(h.num_edges), 2):
-        w = len(h.edge_sets[i] & h.edge_sets[j])
+        w = len(sets[i] & sets[j])
         if w:
             out[(i, j)] = w
     return out
@@ -103,7 +104,8 @@ class TestBuild:
             checked += 1
             rows = csr_rows(lg)
             lhs = sum(w for i, n in enumerate(rows) for j, w in n.items() if i < j)
-            rhs = sum(len(h.edges[i]) * len(rows[i]) for i in range(h.num_edges))
+            sizes = np.diff(h.edge_ptr).tolist()
+            rhs = sum(sizes[i] * len(rows[i]) for i in range(h.num_edges))
             assert lhs < rhs
 
     def test_dump_format(self, chain3):
@@ -180,7 +182,7 @@ class TestNeighbors:
         rng = random.Random(41)
         for _ in range(10):
             h = random_hypergraph(rng)
-            assert hyperedge_degrees(h) == build_line_graph(h).degrees()
+            assert hyperedge_degrees(h) == np.diff(build_line_graph(h).indptr).tolist()
 
 
 def csr_row(lg, i):
@@ -201,12 +203,12 @@ class TestMemoStore:
         for _ in range(12):
             h = random_hypergraph(rng, max_edges=12)
             lg = build_line_graph(h)
-            full = sum(lg.degrees())
+            full = int(np.diff(lg.indptr).sum())
             for budget in {0, 1, math.ceil(full / 2), full}:
                 store = MemoizedNeighborStore(h, budget)
                 for i in range(h.num_edges):
                     assert stored_row(store, i) == csr_row(lg, i)
-                assert store.memoized_entries() <= budget
+                assert h.line_degrees[list(store.store)].sum() <= budget
 
     def test_unbounded_budget_memoizes_everything(self, chain3):
         store = MemoizedNeighborStore(chain3, budget=100)
@@ -230,11 +232,11 @@ class TestMemoStore:
         h = from_edge_sets([{0, 1}, {1, 2}, {2, 3}])
         store = MemoizedNeighborStore(h, budget=2)
         store.get(0)
-        assert 0 in store
+        assert 0 in store.store
         store.get(1)  # needs 2 entries: evicts e0 (lowest degree, lowest index)
-        assert 0 not in store and 1 in store
+        assert 0 not in store.store and 1 in store.store
         store.get(2)  # needs 1: evicts e1, the only memoized edge
-        assert 1 not in store and 2 in store
+        assert 1 not in store.store and 2 in store.store
 
     def test_pinned_edges_survive_eviction(self):
         h = from_edge_sets([{0, 1}, {1, 2}, {2, 3}])
@@ -242,13 +244,13 @@ class TestMemoStore:
         store.get(0)
         store.get(2)  # store now holds e0 and e2 (1 entry each)
         store.get(1, pinned=frozenset({0}))  # must not evict pinned e0
-        assert 0 in store and 2 not in store
+        assert 0 in store.store and 2 not in store.store
 
     def test_oversized_edge_served_without_memoizing(self):
         h = from_edge_sets([{0, 1}, {0, 2}, {0, 3}])  # every degree is 2
         store = MemoizedNeighborStore(h, budget=1)
         assert stored_row(store, 0) == csr_row(build_line_graph(h), 0)
-        assert 0 not in store
+        assert 0 not in store.store
 
     def test_negative_budget_rejected(self, chain3):
         with pytest.raises(ValueError):

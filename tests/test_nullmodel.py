@@ -3,6 +3,7 @@
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 from mochy import (
@@ -15,11 +16,11 @@ from mochy import (
 )
 from mochy.counting import _stream
 
-from conftest import random_hypergraph, sample_incidence_slots
+from conftest import assert_valid, edge_sets, random_hypergraph, sample_incidence_slots
 
 
 def label_degrees(h):
-    return {h.labels[v]: h.node_degree(v) for v in range(h.num_nodes)}
+    return dict(zip(h.node_labels.tolist(), np.diff(h.node_ptr).tolist()))
 
 
 def synthetic_hundred():
@@ -38,14 +39,15 @@ class TestRandomize:
         h = from_edge_sets([{0}])
         for seed in range(10):
             out = randomize_chung_lu(h, seed)
-            assert out.edges == ((0,),)
-            assert out.labels == (0,)
+            assert (out.edge_ptr.tolist(), out.edge_nodes.tolist()) == ([0, 1], [0])
+            assert out.node_labels.tolist() == [0]
 
     def test_reproducible(self):
         h = synthetic_hundred()
         a = randomize_chung_lu(h, seed=5)
         b = randomize_chung_lu(h, seed=5)
-        assert a.edges == b.edges and a.labels == b.labels
+        assert edge_sets(a) == edge_sets(b)
+        assert a.node_labels.tolist() == b.node_labels.tolist()
 
     def test_draw_count_equals_incidence_count(self):
         # the redraw leaves the stream exactly where 2 * |incidences| calls
@@ -65,8 +67,8 @@ class TestRandomize:
         for seed in range(10):
             h = random_hypergraph(rng, min_edges=5)
             out = randomize_chung_lu(h, seed)
-            out.validate()
-            assert all(out.edges)
+            assert_valid(out)
+            assert (np.diff(out.edge_ptr) > 0).all()
 
     def test_degrees_and_sizes_preserved_in_expectation(self):
         # output labels are input node ids, so degrees line up by id; the
@@ -84,19 +86,20 @@ class TestRandomize:
             out = from_edge_sets(s for s in slots if s)
             for v, d in label_degrees(out).items():
                 degree_sums[v] += d
-        qual_nodes = [v for v in range(h.num_nodes) if h.node_degree(v) >= 5]
-        qual_edges = [j for j, e in enumerate(h.edges) if len(e) >= 5]
+        degree, size = np.diff(h.node_ptr).tolist(), np.diff(h.edge_ptr).tolist()
+        qual_nodes = [v for v in range(h.num_nodes) if degree[v] >= 5]
+        qual_edges = [j for j in range(h.num_edges) if size[j] >= 5]
         assert qual_nodes and qual_edges
         deg_ratio = sum(degree_sums[v] / replicates for v in qual_nodes) / sum(
-            h.node_degree(v) for v in qual_nodes
+            degree[v] for v in qual_nodes
         )
         size_ratio = sum(size_sums[j] / replicates for j in qual_edges) / sum(
-            len(h.edges[j]) for j in qual_edges
+            size[j] for j in qual_edges
         )
         assert abs(deg_ratio - 1.0) < 0.06
         assert abs(size_ratio - 1.0) < 0.06
         for v in qual_nodes:  # loose per-node sanity on top of the aggregate
-            d = h.node_degree(v)
+            d = degree[v]
             assert abs(degree_sums[v] / replicates - d) / d < 0.20
 
 
@@ -118,7 +121,7 @@ class TestNullCounts:
             s for s in sample_incidence_slots(twelve, rng) if s
         )
         assert mean.counts == count_exact(h_rand, build_line_graph(h_rand)).counts
-        assert received[0].edges == h_rand.edges
+        assert edge_sets(received[0]) == edge_sets(h_rand)
         assert reps[0].counts == mean.counts
 
     def test_mean_is_reproducible(self, twelve):

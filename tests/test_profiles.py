@@ -27,7 +27,7 @@ from mochy import (
     ternary_refinement_map,
 )
 
-from conftest import oracle_connected, oracle_pattern, random_hypergraph
+from conftest import edge_sets, oracle_connected, oracle_pattern, random_hypergraph
 
 
 def vec(values, mode=MotifMode("binary")):
@@ -59,6 +59,12 @@ class TestSignificance:
     def test_catalog_mismatch_rejected(self):
         with pytest.raises(ValueError):
             significance(vec({}), vec({}, MotifMode("abs", theta=1)))
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+    def test_epsilon_must_be_positive(self, epsilon):
+        # a motif counted 0 times in both vectors would be 0 / 0
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            significance(vec({1: 3}), vec({}), epsilon=epsilon)
 
 
 class TestCharacteristicProfile:
@@ -106,10 +112,11 @@ def hp_oracle(h, e):
     catalog = enumerate_catalog(3, 2)
     index = {p: t for t, p in zip(catalog.ids, catalog.patterns)}
     counts = {}
+    sets = edge_sets(h)
     for x, y, z in combinations(range(h.num_edges), 3):
         if e not in (x, y, z):
             continue
-        a, b, c = h.edge_sets[x], h.edge_sets[y], h.edge_sets[z]
+        a, b, c = sets[x], sets[y], sets[z]
         if oracle_connected(a, b, c):
             t = index[oracle_pattern(a, b, c)]
             counts[t] = counts.get(t, 0) + 1
@@ -151,7 +158,8 @@ class TestHyperedgeProfile:
 
 
 def member_families(h):
-    return {frozenset(h.labels[v] for v in e) for e in h.edges}
+    labels = h.node_labels.tolist()
+    return {frozenset(labels[v] for v in e) for e in edge_sets(h)}
 
 
 class TestEgoNetwork:
@@ -194,10 +202,11 @@ class TestEgoNetwork:
         rng = random.Random(13)
         for _ in range(10):
             h = random_hypergraph(rng, max_edges=10)
+            sets = edge_sets(h)
             for v in range(h.num_nodes):
                 neighborhood = set()
-                for i in h.incidence[v]:
-                    neighborhood.update(h.edges[i])
+                for i in h.node_edges[h.node_ptr[v] : h.node_ptr[v + 1]].tolist():
+                    neighborhood.update(sets[i])
                 star = member_families(ego_network(h, v, "star").hypergraph)
                 radial = member_families(ego_network(h, v, "radial").hypergraph)
                 contracted = member_families(ego_network(h, v, "contracted").hypergraph)
@@ -205,23 +214,25 @@ class TestEgoNetwork:
                 assert all(e <= neighborhood for e in radial)
                 expected_cuts = {
                     frozenset(s & neighborhood)
-                    for s in h.edge_sets
+                    for s in sets
                     if s & neighborhood
                 }
                 assert contracted == expected_cuts
 
     def test_matches_the_set_construction(self):
-        # the ego hypergraph built from tuple views and sets, as the library
-        # once did: same node ids, same CSR arrays in value and dtype
+        # the ego hypergraph built from sets, as the library once did: same
+        # node ids, same CSR arrays in value and dtype
         rng = random.Random(41)
         for _ in range(20):
             h = random_hypergraph(rng, max_edges=12)
+            sets = edge_sets(h)
             for v in range(h.num_nodes):
-                nodes = set().union(*(h.edge_sets[i] for i in h.incidence[v]))
+                incident = h.node_edges[h.node_ptr[v] : h.node_ptr[v + 1]].tolist()
+                nodes = set().union(*(sets[i] for i in incident))
                 expected = {
-                    "star": [h.edges[i] for i in h.incidence[v]],
-                    "radial": [e for e in h.edges if nodes.issuperset(e)],
-                    "contracted": [sorted(s & nodes) for s in h.edge_sets if s & nodes],
+                    "star": [sorted(sets[i]) for i in incident],
+                    "radial": [sorted(s) for s in sets if nodes.issuperset(s)],
+                    "contracted": [sorted(s & nodes) for s in sets if s & nodes],
                 }
                 for kind, members in expected.items():
                     ego = ego_network(h, v, kind)
@@ -246,7 +257,7 @@ class TestNodeProfile:
 
     def test_chain_center_radial_equals_global(self, chain3):
         lg = build_line_graph(chain3)
-        center = chain3.labels.index(3)
+        center = chain3.node_labels.tolist().index(3)
         np_counts = node_profile(chain3, center, "radial")
         assert np_counts.counts == count_exact(chain3, lg).counts
 
