@@ -101,10 +101,25 @@ def is_valid_pattern(pattern: Sequence[int], k: int = 3) -> bool:
     return len(seen) == k
 
 
-def _pair_disjoint(pattern: Sequence[int], subsets, x: int, y: int) -> bool:
-    return not any(
-        state != 0 for s, state in zip(subsets, pattern) if x in s and y in s
-    )
+def _digit_weights(arity: int, states: int) -> np.ndarray:
+    """Place values of a pattern's packed base-`states` key, first region
+    most significant, so packed keys sort as the patterns do."""
+    return states ** np.arange((1 << arity) - 2, -1, -1)
+
+
+def _raw_patterns(arity: int, states: int) -> np.ndarray:
+    """Every raw pattern as a row of region states, row x being the pattern
+    whose packed key is x."""
+    weights = _digit_weights(arity, states)
+    return np.arange(states * weights[0])[:, None] // weights % states
+
+
+@lru_cache(maxsize=None)
+def _canonical_keys(arity: int, states: int) -> np.ndarray:
+    """For every packed key, its canonical pattern's key: the smallest packed
+    key over the k! hyperedge relabelings."""
+    raw, weights = _raw_patterns(arity, states), _digit_weights(arity, states)
+    return np.min([raw[:, t] @ weights for t in _perm_tables(arity)], axis=0)
 
 
 @dataclass(frozen=True)
@@ -145,17 +160,10 @@ class MotifCatalog:
 
         Only sensible for arity 3, where counting engines classify triples.
         """
-        n = len(self.patterns[0])
-        table = np.zeros(self.states**n, dtype=np.int64)
-        for raw in itertools.product(range(self.states), repeat=n):
-            canon = canonicalize(raw, self.arity)
-            pos = self._index.get(canon)
-            if pos is not None:
-                key = 0
-                for state in raw:
-                    key = key * self.states + state
-                table[key] = pos + 1
-        return table
+        canon = _canonical_keys(self.arity, self.states)
+        ids = np.zeros(len(canon), dtype=np.int64)
+        ids[np.array(self.patterns) @ _digit_weights(self.arity, self.states)] = self.ids
+        return ids[canon]
 
 
 @lru_cache(maxsize=None)
@@ -163,28 +171,38 @@ def enumerate_catalog(arity: int = 3, states: int = 2) -> MotifCatalog:
     """Enumerate all canonical valid patterns for (arity, states).
 
     Supported combinations: (2,2), (3,2), (3,3), (4,2). Sizes: 2, 26, 431, 1853.
+    One array pass over all raw patterns applies is_valid_pattern's tests
+    and keeps each valid pattern that is its own canonical form.
     """
     if (arity, states) not in SUPPORTED:
         raise ValueError(f"unsupported catalog ({arity}, {states})")
-    n = (1 << arity) - 1
-    subsets = region_subsets(arity)
-    tables = _perm_tables(arity)
-    kept = []
-    for raw in itertools.product(range(states), repeat=n):
-        if any(tuple(raw[t[r]] for r in range(n)) < raw for t in tables):
-            continue  # not the orbit representative
-        if is_valid_pattern(raw, arity):
-            kept.append(raw)
-    kept.sort()
-    open_flags = tuple(
-        any(
-            _pair_disjoint(p, subsets, x, y)
-            for x, y in itertools.combinations(range(arity), 2)
-        )
-        for p in kept
-    )
+    raw = _raw_patterns(arity, states)
+    canon = _canonical_keys(arity, states)
+    k, nonzero = arity, raw != 0
+    member = np.array([[x in s for s in region_subsets(k)] for x in range(k)])
+
+    def any_region(regions: np.ndarray) -> np.ndarray:
+        """[pattern, x, y]: some region in regions[x, y] is nonzero."""
+        return (nonzero @ regions.reshape(k * k, -1).T).reshape(-1, k, k)
+
+    # regions in both hyperedges x and y (in x alone, on the diagonal), and
+    # in exactly one of them
+    both = any_region(member[:, None] & member[None])
+    one = any_region(member[:, None] != member[None])
+    # paths of up to 2**k hyperedges through shared nonzero regions
+    reach = both
+    for _ in range(k):
+        reach = reach @ reach
+    x, y = np.triu_indices(k, 1)
+    # every hyperedge is non-empty, every pair differs, all are connected
+    valid = both.diagonal(0, 1, 2).all(1) & one[:, x, y].all(1) & reach[:, 0].all(1)
+    is_open = ~both[:, x, y].all(1)
+    kept = valid & (canon == np.arange(len(canon)))
     return MotifCatalog(
-        arity=arity, states=states, patterns=tuple(kept), open_flags=open_flags
+        arity=arity,
+        states=states,
+        patterns=tuple(map(tuple, raw[kept].tolist())),
+        open_flags=tuple(is_open[kept].tolist()),
     )
 
 

@@ -48,6 +48,8 @@ from .linegraph import build_line_graph, csv_rows, dump_line_graph
 class RunManifest:
     command: str
     input: str | None
+    input_sha256: str | None
+    input_bytes: int | None
     algorithm: str | None
     samples: int | None
     budget: float | None
@@ -106,9 +108,12 @@ def _run(args) -> int:
         for path, write_file in files.items():
             _write_file(_stage(path, staged), write_file)
         elapsed = time.perf_counter() - start
+        source = getattr(args, "input", None)
         manifest = RunManifest(
             command=args.command,
-            input=getattr(args, "input", None),
+            input=source,
+            input_sha256=_sha256(source) if source else None,
+            input_bytes=os.path.getsize(source) if source else None,
             algorithm=getattr(args, "algo", None),
             samples=getattr(args, "samples", None),
             budget=getattr(args, "budget", None),

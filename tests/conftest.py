@@ -8,6 +8,7 @@ so they can vouch for the counting path end to end.
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from itertools import combinations, permutations
 
 import numpy as np
@@ -22,6 +23,11 @@ def edge_sets(h: Hypergraph) -> tuple[frozenset[int], ...]:
     bounds = h.edge_ptr.tolist()
     nodes = h.edge_nodes.tolist()
     return tuple(frozenset(nodes[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def cached_names(h: Hypergraph) -> set[str]:
+    """The attributes h has cached beyond its arrays."""
+    return set(h.__dict__) - {f.name for f in fields(h)}
 
 
 def assert_valid(h: Hypergraph) -> None:

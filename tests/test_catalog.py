@@ -15,6 +15,7 @@ from mochy import (
     region_cardinalities,
     ternary_refinement_map,
 )
+from mochy.catalog import region_subsets
 
 from conftest import (
     oracle_connected,
@@ -96,6 +97,31 @@ class TestEnumerate:
             enumerate_catalog(5, 2)
         with pytest.raises(ValueError):
             enumerate_catalog(2, 3)
+
+    @pytest.mark.parametrize("arity,states", [(2, 2), (3, 2), (3, 3), (4, 2)])
+    def test_arrays_match_the_scalar_functions(self, arity, states):
+        """Each raw pattern, classified alone by canonicalize and
+        is_valid_pattern, against the catalog and id table built as arrays."""
+        cat = enumerate_catalog(arity, states)
+        ids = {pattern: t for t, pattern in zip(cat.ids, cat.patterns)}
+        canonical = set()
+        raws = product(range(states), repeat=(1 << arity) - 1)
+        for key, raw in enumerate(raws):  # packed keys count up in this order
+            if is_valid_pattern(raw, arity):
+                canon = canonicalize(raw, arity)
+                canonical.add(canon)
+                assert cat.packed_id_table[key] == ids[canon]
+            else:
+                assert cat.packed_id_table[key] == 0
+        assert cat.patterns == tuple(sorted(canonical))
+        subsets = region_subsets(arity)
+        assert cat.open_flags == tuple(
+            any(
+                not any(state for s, state in zip(subsets, pattern) if x in s and y in s)
+                for x, y in combinations(range(arity), 2)
+            )
+            for pattern in cat.patterns
+        )
 
     def test_open_iff_some_pair_shares_nothing(self):
         cat = enumerate_catalog(3, 2)

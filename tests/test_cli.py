@@ -475,6 +475,20 @@ class TestManifest:
             assert re.fullmatch("[0-9a-f]{64}", digest)
             assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
+    @pytest.mark.parametrize("command", _subcommands())
+    def test_records_the_input_checksum_and_size(self, command, tmp_path):
+        argv, extra = _argv(command, tmp_path, CHAIN)
+        assert main(argv) == 0
+        anchor = extra[0] if command == "randomize" else argv[argv.index("--out") + 1]
+        manifest = json.loads(Path(anchor + ".manifest.json").read_text())
+        source = getattr(build_parser().parse_args(argv), "input", None)
+        if source is None:  # no input argument: catalog, recommend-samples, convert
+            assert manifest["input_sha256"] is manifest["input_bytes"] is None
+        else:
+            data = Path(source).read_bytes()
+            assert manifest["input_sha256"] == hashlib.sha256(data).hexdigest()
+            assert manifest["input_bytes"] == len(data)
+
     @pytest.mark.parametrize(
         "command", [c for c in _subcommands() if "{in}" in RUNS[c][0]]
     )

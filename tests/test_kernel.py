@@ -182,7 +182,9 @@ def test_samplers_match_set_references(h, chunk, seed, samples):
     prefix = [0]
     for d in degrees:
         prefix.append(prefix[-1] + d)
-    with mock.patch.object(counting, "CHUNK", chunk):
+    # every sampler draws through the seeding replay, however few its draws
+    lanes = mock.patch.object(counting, "LANE_MIN", 1)
+    with mock.patch.object(counting, "CHUNK", chunk), lanes:
         wedge = count_sample_hyperwedge(h, lg, samples, seed, mode).counts
         edge = count_sample_hyperedge(h, lg, samples, seed, mode).counts
         otf = [
@@ -213,11 +215,34 @@ def test_samplers_match_set_references(h, chunk, seed, samples):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 1 << 70), st.integers(1, 1 << 40), st.integers(0, 1 << 20))
-def test_draws_equal_per_index_streams(seed, bound, first):
-    indices = range(first, first + 5)
+@given(
+    st.one_of(st.sampled_from([0, 1, 1 << 32, (1 << 64) - 1]), st.integers(0, 1 << 70)),
+    # 2**31 + 1 rejects about half of all words; 2**32 needs two words a try
+    st.one_of(
+        st.sampled_from([1, 2, 3, (1 << 31) + 1, (1 << 32) - 1, 1 << 32]),
+        st.integers(1, 1 << 40),
+    ),
+    # near 2**32 a key's high word changes within the indices
+    st.one_of(st.integers(0, 1 << 20), st.integers((1 << 32) - 20, (1 << 32) + 4)),
+    st.booleans(),
+)
+def test_draws_equal_per_index_streams(seed, bound, first, lanes):
+    indices = range(first, first + 16)
     expected = [_stream(seed, n).randrange(bound) for n in indices]
-    assert _draws(seed, indices, bound).tolist() == expected
+    with mock.patch.object(counting, "LANE_MIN", 1 if lanes else counting.LANE_MIN):
+        assert _draws(seed, indices, bound).tolist() == expected
+
+
+def test_draws_redraw_streams_whose_kept_words_are_all_rejected():
+    """At bound 2**31 + 1 about one stream in 2**LANE_WORDS rejects every
+    word the seeding replay keeps; those streams are reseeded one by one."""
+    indices, bound = range((1 << 32) - 1000, (1 << 32) + 1000), (1 << 31) + 1
+    reseed = mock.patch.object(counting, "_reseed_draws", wraps=counting._reseed_draws)
+    with mock.patch.object(counting, "LANE_MIN", 1), reseed as spy:
+        got = _draws(0, indices, bound).tolist()
+    ((_, redrawn, _),) = [call.args for call in spy.call_args_list]
+    assert 0 < len(redrawn) < 50
+    assert got == [_stream(0, n).randrange(bound) for n in indices]
 
 
 def test_wedge_triples_on_many_edges():
