@@ -37,7 +37,7 @@ ALGORITHMS = ("exact", "edge-sample", "wedge-sample", "otf-basic", "otf-advanced
 # Most triples a candidate generator yields at once (or the triples of one
 # hyperwedge, if those alone are more): bounds the kernel's temporaries
 # whatever the size of the graph.
-CHUNK = 4096
+CHUNK = 8192
 
 # _draws replays the seeding of LANE_MIN sample streams or more at once,
 # LANE_BLOCK streams at a time, and keeps each stream's first LANE_WORDS
@@ -226,14 +226,22 @@ def _lane_draws(seed: int, n: np.ndarray, bound: int) -> np.ndarray:
 # Candidate generators over the CSR line graph
 
 
-def _pairs(lg: LineGraph, rows: np.ndarray, entries: np.ndarray) -> Iterator[Triples]:
+def _pairs(
+    lg: LineGraph, rows: np.ndarray, entries: np.ndarray, exact: bool = False
+) -> Iterator[Triples]:
     """For each CSR entry (i, j) in `entries`, i being the matching element of
-    `rows`, the triples (i, j, k) with k a neighbor of i that comes after j."""
+    `rows`, the triples (i, j, k) with k a neighbor of i that comes after j;
+    with `exact`, only those _exact_triples keeps, filtered before the
+    overlaps w_ij and w_ik are gathered."""
     indices, weights = lg.indices, lg.weights
     for owner, pos in ragged_ranges(entries + 1, lg.indptr[rows + 1], CHUNK):
         e = entries[owner]
-        j, k = indices[e], indices[pos]
-        yield rows[owner], j, k, weights[e], weights[pos], lg.weight(j, k)
+        i, j, k = rows[owner], indices[e], indices[pos]
+        w_jk = lg.weight(j, k)
+        if exact:
+            keep = np.flatnonzero((w_jk == 0) | (i < j))
+            i, j, k, w_jk, e, pos = (x[keep] for x in (i, j, k, w_jk, e, pos))
+        yield i, j, k, weights[e], weights[pos], w_jk
 
 
 def _row_entries(lg: LineGraph, rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -252,11 +260,7 @@ def _exact_triples(lg: LineGraph) -> Iterator[Triples]:
     the triple is kept iff e_j and e_k are disjoint or i is the smallest
     index. Row-major order, as enumerate_instances emits it."""
     for rows, entries in _row_entries(lg, np.arange(lg.num_edges, dtype=np.int32)):
-        for triples in _pairs(lg, rows, entries):
-            keep = (triples[5] == 0) | (triples[0] < triples[1])
-            # rebound, so that the unfiltered chunk is freed while this one is used
-            triples = tuple(x[keep] for x in triples)
-            yield triples
+        yield from _pairs(lg, rows, entries, exact=True)
 
 
 def _edge_triples(lg: LineGraph, centers: np.ndarray) -> Iterator[Triples]:
@@ -318,27 +322,32 @@ def _triple_intersections(h: Hypergraph, i, j, k, closed) -> np.ndarray:
     Every generator yields the triples of one pair (i, j) consecutively. The
     nodes e_i and e_j share are found once per such run, by looking up the
     smaller hyperedge's members in the other; each closed triple then looks
-    up only its pair's shared nodes in e_k.
+    up only its pair's shared nodes in e_k. Each of the two phases is one
+    ragged range of lookups, split into pieces only beyond CHUNK lookups.
     """
     out = np.zeros(len(i), dtype=np.int32)
     idx = np.flatnonzero(closed)
     if not len(idx):
         return out
     sizes, keys = h.member_arrays
-    n = h.num_nodes
+    ptr, n = h.edge_ptr, h.num_nodes
     a, b = i[idx], j[idx]
-    new_pair = (np.diff(a, prepend=-1) != 0) | (np.diff(b, prepend=-1) != 0)
+    new_pair = np.empty(len(idx), dtype=bool)
+    new_pair[0] = True
+    np.not_equal(a[1:], a[:-1], out=new_pair[1:])
+    new_pair[1:] |= b[1:] != b[:-1]
     first, pair_of = np.flatnonzero(new_pair), np.cumsum(new_pair) - 1
-    a, b = a[first].astype(np.int64), b[first].astype(np.int64)
+    a, b = a[first], b[first]
     a_small = sizes[a] <= sizes[b]
     small, other = np.where(a_small, a, b), np.where(a_small, b, a)
     shared = []
-    for p, pos in ragged_ranges(h.edge_ptr[small], h.edge_ptr[small + 1], CHUNK):
-        node = keys[pos] - small[p] * n
-        hit = find(keys, other[p] * n + node)[1]
+    for p, pos in ragged_ranges(ptr[small], ptr[small + 1], CHUNK):
+        node = h.edge_nodes[pos]
+        hit = find(keys, other[p].astype(np.int64) * n + node)[1]
         shared.append((p[hit], node[hit]))
-    p, node = (np.concatenate(x) for x in zip(*shared))
-    bounds = np.searchsorted(p, np.arange(len(first) + 1))
+    p, node = shared[0] if len(shared) == 1 else (np.concatenate(x) for x in zip(*shared))
+    bounds = np.zeros(len(first) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(p, minlength=len(first)), out=bounds[1:])
     third = k[idx].astype(np.int64) * n
     for t, at in ragged_ranges(bounds[pair_of], bounds[pair_of + 1], CHUNK):
         hit = find(keys, third[t] + node[at])[1]
@@ -362,12 +371,13 @@ def _instances(
         yield *triples[:3], _classify(h, mode, triples)
 
 
-def _tally(h: Hypergraph, mode: MotifMode, chunks: Iterable[Triples]) -> list[int]:
-    """Per-motif instance tallies of the candidate triples, as Python ints."""
+def _tally(h: Hypergraph, mode: MotifMode, chunks: Iterable[Triples]) -> tuple[list[int], int]:
+    """Per-motif instance tallies of the candidate triples, as Python ints,
+    and the number of triples classified."""
     counts = np.zeros(len(mode.catalog()) + 1, dtype=np.int64)
     for triples in chunks:
         counts += np.bincount(_classify(h, mode, triples), minlength=len(counts))
-    return counts[1:].tolist()
+    return counts[1:].tolist(), int(counts.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +393,15 @@ def count_exact(
     is tallied iff e_j and e_k are disjoint or i is the smallest index, so
     each instance is counted exactly once.
     """
+    counts, triples = _tally(h, mode, _exact_triples(lg))
     meta = {
         "algorithm": "exact",
         "num_edges": h.num_edges,
         "num_wedges": lg.wedge_count,
         "workers": workers,
+        "triples": triples,
     }
-    return CountVector(mode, _tally(h, mode, _exact_triples(lg)), meta)
+    return CountVector(mode, counts, meta)
 
 
 class EnumerationAborted(RuntimeError):
@@ -443,7 +455,7 @@ def count_sample_hyperedge(
     if h.num_edges < 3:
         raise ValueError("hyperedge sampling needs at least 3 hyperedges")
     centers = _draws(seed, range(s), h.num_edges)
-    merged = _tally(h, mode, _edge_triples(lg, centers))
+    merged, triples = _tally(h, mode, _edge_triples(lg, centers))
     scale = h.num_edges / (3 * s)
     meta = {
         "algorithm": "edge-sample",
@@ -452,6 +464,7 @@ def count_sample_hyperedge(
         "samples": s,
         "seed": seed,
         "workers": workers,
+        "triples": triples,
     }
     return CountVector(mode, [c * scale for c in merged], meta)
 
@@ -501,7 +514,8 @@ def count_sample_hyperwedge(
         return _no_wedges(mode, "wedge-sample", r, seed)
     i, pos = _wedge_draws(seed, range(r), lg.indptr)
     entries = lg.indptr[i] + pos
-    merged = _tally(h, mode, _wedge_triples(lg, i, lg.indices[entries], lg.weights[entries]))
+    j, w_ij = lg.indices[entries], lg.weights[entries]
+    merged, triples = _tally(h, mode, _wedge_triples(lg, i, j, w_ij))
     meta = {
         "algorithm": "wedge-sample",
         "num_edges": h.num_edges,
@@ -509,6 +523,7 @@ def count_sample_hyperwedge(
         "samples": r,
         "seed": seed,
         "workers": workers,
+        "triples": triples,
     }
     return CountVector(mode, _rescale_wedge_estimate(merged, mode, wedges, r), meta)
 
@@ -614,7 +629,7 @@ def count_otf(
     # only the ordered wedges stay alive through the wedge pass
     i, j, w_ij = i[order], j[order], w_ij[order]
     del pos, lookup, order
-    merged = _tally(h, mode, _store_triples(store, degrees, i, j, w_ij, evict_after))
+    merged, triples = _tally(h, mode, _store_triples(store, degrees, i, j, w_ij, evict_after))
     meta = {
         "algorithm": f"otf-{variant}",
         "num_edges": h.num_edges,
@@ -622,6 +637,7 @@ def count_otf(
         "samples": r,
         "seed": seed,
         "workers": workers,
+        "triples": triples,
         "budget": budget,
         "recomputations": store.recomputations,
         "neighbor_computations": store.recomputations,

@@ -87,8 +87,13 @@ def csv_rows(*columns: np.ndarray) -> str:
 def ragged_ranges(
     starts: np.ndarray, stops: np.ndarray, block: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """ragged_range(starts, stops) in pieces of at most `block` pairs."""
-    for group in blocks(stops - starts, block):
+    """ragged_range(starts, stops) in pieces of at most `block` pairs: one
+    piece, without splitting, when all of them fit."""
+    lengths = stops - starts
+    if lengths.sum() <= block:
+        yield ragged_range(starts, stops)
+        return
+    for group in blocks(lengths, block):
         owner, pos = ragged_range(starts[group], stops[group])
         owner += group.start
         for first in range(0, len(owner), block):
@@ -125,11 +130,12 @@ class LineGraph:
 
     def weight(self, i, j):
         """Overlap of hyperedges i and j (0 if disjoint); scalars or arrays."""
-        query = (np.asarray(i, dtype=np.int64) * self.num_edges + j).astype(self.keys.dtype)
-        if not len(self.keys):
+        keys = self.keys
+        query = np.asarray(i, dtype=keys.dtype) * keys.dtype.type(self.num_edges) + j
+        if not len(keys):
             return np.zeros_like(query)
-        pos, found = find(self.keys, query)
-        return np.where(found, self.weights[pos], 0)
+        pos, found = find(keys, query)
+        return self.weights[pos] * found
 
 
 def neighbor_rows(h: Hypergraph, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -83,7 +83,7 @@ def hyperedge_profile(
     """
     if not 0 <= e < h.num_edges:
         raise IndexError(f"hyperedge index {e} out of range (|E|={h.num_edges})")
-    counts = _tally(h, mode, _edge_triples(lg, np.array([e])))
+    counts, _ = _tally(h, mode, _edge_triples(lg, np.array([e])))
     return CountVector(mode, counts, {"algorithm": "hyperedge-profile", "hyperedge": e})
 
 

@@ -5,6 +5,8 @@ boundaries fall inside a hyperedge's neighbor row, inside a hyperwedge's
 triples and inside the member lists scanned for triple intersections.
 """
 
+import random
+import tracemalloc
 from bisect import bisect_right
 from itertools import combinations, permutations
 from unittest import mock
@@ -150,9 +152,11 @@ def test_exact_counts_match_oracle(h, chunk, states_theta):
     states, theta = states_theta
     mode = MotifMode("binary") if states == 2 else MotifMode("abs", theta=theta)
     with mock.patch.object(counting, "CHUNK", chunk):
-        counts = count_exact(h, build_line_graph(h), mode).counts
-    assert counts == oracle_count_vector(h, states, theta)
-    assert all(type(c) is int for c in counts)
+        exact = count_exact(h, build_line_graph(h), mode)
+    assert exact.counts == oracle_count_vector(h, states, theta)
+    assert all(type(c) is int for c in exact.counts)
+    # every candidate exact counting classifies is an instance
+    assert exact.meta["triples"] == sum(exact.counts) == len(list(reference_instances(h, mode)))
 
 
 @KERNEL
@@ -185,12 +189,14 @@ def test_samplers_match_set_references(h, chunk, seed, samples):
     # every sampler draws through the seeding replay, however few its draws
     lanes = mock.patch.object(counting, "LANE_MIN", 1)
     with mock.patch.object(counting, "CHUNK", chunk), lanes:
-        wedge = count_sample_hyperwedge(h, lg, samples, seed, mode).counts
-        edge = count_sample_hyperedge(h, lg, samples, seed, mode).counts
-        otf = [
-            count_otf(h, samples, budget, seed, variant, mode, workers).counts
+        wedge_cv = count_sample_hyperwedge(h, lg, samples, seed, mode)
+        edge_cv = count_sample_hyperedge(h, lg, samples, seed, mode)
+        otf_cvs = [
+            count_otf(h, samples, budget, seed, variant, mode, workers)
             for variant in ("basic", "advanced") for budget in (0, 5) for workers in (1, 3)
         ]
+    wedge, edge = wedge_cv.counts, edge_cv.counts
+    otf = [cv.counts for cv in otf_cvs]
     if prefix[-1]:
         triples = []
         for n in range(samples):
@@ -202,6 +208,8 @@ def test_samplers_match_set_references(h, chunk, seed, samples):
         closed = [not is_open for is_open in mode.catalog().open_flags]
         assert wedge == [c * scales[x] for c, x in zip(tally, closed)]
         assert all(o == wedge for o in otf)
+        assert wedge_cv.meta["triples"] == len(triples)
+        assert all(cv.meta["triples"] == len(triples) for cv in otf_cvs)
     triples = []
     for n in range(samples):
         i = _stream(seed, n).randrange(h.num_edges)
@@ -212,6 +220,7 @@ def test_samplers_match_set_references(h, chunk, seed, samples):
         ]
     scale = h.num_edges / (3 * samples)
     assert edge == [c * scale for c in reference_tally(h, mode, triples)]
+    assert edge_cv.meta["triples"] == len(triples)
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,3 +287,90 @@ def test_wedge_triples_on_many_edges():
     # each wedge here makes one triple, so a chunk's length is its block's wedge count
     assert max(len(c[0]) for c in chunks) * n > 1 << 31
     assert sorted(got) == sorted(expected)
+
+
+def uniform_graph(edges: int, nodes: int, seed: int):
+    """`edges` distinct random 4-node hyperedges over `nodes` nodes."""
+    rng = random.Random(seed)
+    sets = set()
+    while len(sets) < edges:
+        sets.add(frozenset(rng.sample(range(nodes), 4)))
+    return from_edge_sets(sorted(sets, key=sorted))
+
+
+# Bytes per chunk triple that one count_exact may hold at its peak.
+PEAK_PER_CHUNK_TRIPLE = 128
+
+
+def test_exact_peak_memory_is_bounded_by_the_chunk():
+    """The tracemalloc peak of count_exact stays under a fixed multiple of
+    CHUNK on a uniform4-size graph and on the acceptance-criterion-11 graph,
+    which has 5x its hyperedges, line-graph entries and instances. The line
+    graph's lookup keys and the member arrays are built first: they belong to
+    the graphs. Only per-hyperedge arrays (about 20 bytes a hyperedge) grow
+    with the graph, so the larger graph's peak stays within 1.5x the
+    smaller's."""
+    peaks, sizes = [], []
+    for edges, nodes, seed in ((2_000, 1_540, 1), (10_500, 8_000, 4242)):
+        h = uniform_graph(edges, nodes, seed)
+        lg = build_line_graph(h)
+        lg.keys, h.member_arrays
+        tracemalloc.start()
+        try:
+            exact = count_exact(h, lg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append((lg.wedge_count, exact.meta["triples"]))
+    assert sizes[1][0] > 5 * sizes[0][0] and sizes[1][1] > 5 * sizes[0][1]
+    assert max(peaks) < PEAK_PER_CHUNK_TRIPLE * counting.CHUNK
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+def hub_heavy_graph(edges: int, labels: int, seed: int):
+    """Distinct hyperedges with power-law sizes (exponent 2) on [2, 200] and
+    members drawn with Zipf(0.3) weights over `labels` nodes, like perfbench's
+    heavytail workload: hub hyperedges share many nodes with each other."""
+    rng = random.Random(seed)
+    weights = [1 / (x + 1) ** 0.3 for x in range(labels)]
+    sets = set()
+    while len(sets) < edges:
+        size = min(200, int(2 / (1 - rng.random())))
+        members = set()
+        while len(members) < size:
+            members.update(rng.choices(range(labels), weights, k=size - len(members)))
+        sets.add(frozenset(members))
+    return from_edge_sets(sorted(sets, key=sorted))
+
+
+def test_triple_intersections_on_hub_heavy_chunks():
+    """_triple_intersections equals set intersections on the closed triples of
+    real-size exact chunks, both at CHUNK, where a phase's lookups mostly fit
+    in one ragged range, and at a CHUNK smaller than most phases, where they
+    are split into blocks."""
+    h = hub_heavy_graph(200, 800, 5)
+    sets = edge_sets(h)
+    chunks = list(counting._exact_triples(build_line_graph(h)))
+    expected = []
+    for i, j, k, w_ij, w_ik, w_jk in chunks:
+        closed = (w_ij > 0) & (w_ik > 0) & (w_jk > 0)
+        expected.append([
+            len(sets[a] & sets[b] & sets[c]) if x else 0
+            for a, b, c, x in zip(i.tolist(), j.tolist(), k.tolist(), closed.tolist())
+        ])
+    assert max(len(c[0]) for c in chunks) > counting.CHUNK // 2
+    # hubs share many nodes, so some triple intersections are large
+    assert max(map(max, expected)) >= 10
+    for chunk in (counting.CHUNK, 200):
+        spy = mock.patch.object(counting, "ragged_ranges", wraps=counting.ragged_ranges)
+        with mock.patch.object(counting, "CHUNK", chunk), spy as ranges:
+            for (i, j, k, w_ij, w_ik, w_jk), want in zip(chunks, expected):
+                closed = (w_ij > 0) & (w_ik > 0) & (w_jk > 0)
+                got = counting._triple_intersections(h, i, j, k, closed)
+                assert got.tolist() == want
+        # a phase's lookups in one ragged range, or split into blocks
+        whole = [
+            int((stops - starts).sum()) <= block
+            for starts, stops, block in (call.args for call in ranges.call_args_list)
+        ]
+        assert any(whole) and not all(whole)
