@@ -17,7 +17,6 @@ import stat
 import sys
 import time
 from contextlib import suppress
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,27 +43,6 @@ from .hypergraph import (
 from .linegraph import build_line_graph, csv_rows, dump_line_graph
 
 
-@dataclass
-class RunManifest:
-    command: str
-    input: str | None
-    input_sha256: str | None
-    input_bytes: int | None
-    algorithm: str | None
-    samples: int | None
-    budget: float | None
-    workers: int
-    seed: int
-    motifs: str | None
-    variant: str | None
-    theta: int | None
-    p: float | None
-    replicates: int | None
-    elapsed_seconds: float
-    outputs: dict
-    version: str = __version__
-
-
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -79,57 +57,53 @@ def _run(args) -> int:
     A command loads and computes, then returns (write, extra): a function
     that writes its result to a text handle (None when --out is not a file,
     as randomize's prefix), and the (path, write) pairs of its other files.
-    The manifest holds a checksum of every file written; it goes next to
-    --out (next to the first other file without one), or to stderr when
-    --out is stdout. Two outputs (the manifest included) that resolve to the
-    same file are an error, raised before anything is written. Every regular
-    file is written to a temporary file beside it, and all of them replace
-    their targets only once every write has succeeded, so a failed run
-    leaves the earlier outputs and manifest as they were.
+    Every regular file (or one that does not exist yet) is written to a
+    temporary file beside it, and all of them replace their targets only
+    once every write has succeeded, so a failed run leaves the earlier
+    outputs and manifest as they were. stdout (--out -), devices and pipes
+    are written in place and never read back. The manifest holds a checksum
+    of every staged file; it goes next to the first of them, or to stderr
+    when there is none. Two outputs (the manifest included) that resolve to
+    the same file are an error, raised before anything is written.
     """
     start = time.perf_counter()
     write, extra = args.func(args)
     to_stdout = write and args.out == "-"
-    outputs = [(args.out, write)] if write and not to_stdout else []
-    outputs += extra
-    anchor = "-" if to_stdout else outputs[0][0]
-    paths = [path for path, _ in outputs]
-    if anchor != "-":
-        paths.append(anchor + ".manifest.json")
+    outputs = ([(args.out, write)] if write and not to_stdout else []) + extra
+    regular = [path for path, _ in outputs if not _in_place(path)]
+    anchor = regular[0] + ".manifest.json" if regular else None
+    paths = [path for path, _ in outputs] + ([anchor] if anchor else [])
     targets = [os.path.realpath(path) for path in paths]
     for n, target in enumerate(targets):
         if target in targets[:n]:
             raise ValueError(f"two outputs would write the same file: {paths[n]}")
     if to_stdout:
         write(sys.stdout)
-    files = dict(outputs)
     staged: dict[str, str] = {}  # output path -> the temporary file that replaces it
     try:
-        for path, write_file in files.items():
-            _write_file(_stage(path, staged), write_file)
-        elapsed = time.perf_counter() - start
+        for path, write_file in outputs:
+            _write_file(_stage(path, staged) if path in regular else path, write_file)
         source = getattr(args, "input", None)
-        manifest = RunManifest(
-            command=args.command,
-            input=source,
-            input_sha256=_sha256(source) if source else None,
-            input_bytes=os.path.getsize(source) if source else None,
-            algorithm=getattr(args, "algo", None),
-            samples=getattr(args, "samples", None),
-            budget=getattr(args, "budget", None),
-            workers=getattr(args, "threads", 1),
-            seed=getattr(args, "seed", 0),
+        manifest = {
+            "command": args.command,
+            "input": source,
+            "input_sha256": _sha256(source) if source else None,
+            "input_bytes": os.path.getsize(source) if source else None,
+            "algorithm": getattr(args, "algo", None),
+            "workers": getattr(args, "threads", 1),
+            "seed": getattr(args, "seed", 0),
+            **dict.fromkeys(("samples", "budget", "motifs", "variant", "theta", "p")),
             **_mode_fields(args),
-            replicates=getattr(args, "replicates", None),
-            elapsed_seconds=elapsed,
-            outputs={path: _sha256(staged.get(path, path)) for path in files},
-        )
-        payload = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-        if anchor == "-":
+            "replicates": getattr(args, "replicates", None),
+            "elapsed_seconds": time.perf_counter() - start,
+            "outputs": {path: _sha256(temp) for path, temp in staged.items()},
+            "version": __version__,
+        }
+        payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        if anchor is None:
             sys.stderr.write(payload)
         else:
-            path = anchor + ".manifest.json"
-            _write_file(_stage(path, staged), lambda fh: fh.write(payload))
+            _write_file(_stage(anchor, staged), lambda fh: fh.write(payload))
         for path, temp in list(staged.items()):
             os.replace(temp, os.path.realpath(path))
             del staged[path]
@@ -140,18 +114,20 @@ def _run(args) -> int:
     return 0
 
 
-def _stage(path: str, staged: dict[str, str]) -> str:
-    """Where to write path's new content: a new temporary file in path's
-    directory, recorded in staged, for a regular file or one that does not
-    exist yet; path itself for a device or a pipe, which cannot be replaced.
-    The temporary file gets the mode that writing path in place would give."""
-    target = os.path.realpath(path)
+def _in_place(path: str) -> bool:
+    """Whether path is an existing device, pipe or other file that is not a
+    regular one, and so cannot be replaced: it is written where it is."""
     try:
-        mode = os.stat(target).st_mode
+        return not stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        return path
+        return False
+
+
+def _stage(path: str, staged: dict[str, str]) -> str:
+    """A new temporary file in path's directory that will replace path,
+    recorded in staged. It gets the mode that writing path in place would
+    give."""
+    target = os.path.realpath(path)
     head, tail = os.path.split(target)
     temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
@@ -159,8 +135,8 @@ def _stage(path: str, staged: dict[str, str]) -> str:
     except OSError as exc:  # name the output, not the temporary file
         raise OSError(exc.errno, exc.strerror, path) from None
     staged[path] = temp
-    if mode is not None:
-        os.chmod(temp, stat.S_IMODE(mode))
+    with suppress(FileNotFoundError):
+        os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
     return temp
 
 
@@ -179,31 +155,39 @@ def _write_file(path: str, write) -> None:
 
 
 def _mode_fields(args) -> dict:
-    """The manifest's motifs, variant, theta and p: each None where the
-    command has no such option or the chosen motif mode does not read it."""
+    """The options among samples, budget, motifs, variant, theta and p that
+    the run reads, with their values: samples for a sampling algorithm,
+    budget for otf-*, motifs for a command with a motif mode, variant for
+    ternary motifs, theta for abs and p for mr and hr-*. The manifest
+    records the others as None."""
+    algo = getattr(args, "algo", "exact")
     motifs = getattr(args, "motifs", None)
     variant = args.variant if motifs == "ternary" else None
-    return {
-        "motifs": motifs,
-        "variant": variant,
-        "theta": args.theta if variant == "abs" else None,
-        "p": args.p if variant not in (None, "abs") else None,
+    read = {
+        "samples": algo != "exact",
+        "budget": algo.startswith("otf-"),
+        "motifs": motifs is not None,
+        "variant": variant is not None,
+        "theta": variant == "abs",
+        "p": variant not in (None, "abs"),
     }
+    return {name: getattr(args, name) for name, on in read.items() if on}
 
 
 def _mode_from_args(args) -> MotifMode:
-    if args.motifs == "binary":
-        return MotifMode("binary")
-    variant = getattr(args, "variant", "abs") or "abs"
-    if variant == "abs":
-        return MotifMode("abs", theta=args.theta)
-    if variant == "mr":
-        return MotifMode("mr", p=args.p)
-    return MotifMode("hr", p=args.p, sigma=variant.split("-", 1)[1])
+    fields = _mode_fields(args)
+    kind, _, sigma = fields.get("variant", "binary").partition("-")
+    options = {name: fields[name] for name in ("theta", "p") if name in fields}
+    return MotifMode(kind, sigma=sigma or "mean", **options)
 
 
-def _patterns(catalog) -> list[str]:
-    return ["".join(map(str, pattern)) for pattern in catalog.patterns]
+def _motif_rows(catalog, **columns) -> list[dict]:
+    """One row per motif of catalog: its id, its pattern, then its entry of
+    each column."""
+    return [
+        {"id": t, "pattern": "".join(map(str, pattern)), **dict(zip(columns, values))}
+        for t, pattern, *values in zip(catalog.ids, catalog.patterns, *columns.values())
+    ]
 
 
 def _write_rows(out, as_json: bool, rows: list[dict], document: dict, key: str) -> None:
@@ -229,11 +213,7 @@ def _cell(value) -> str:
 
 def _counts_writer(args, cv: CountVector):
     """The --out writer of a count vector's rows."""
-    catalog = cv.mode.catalog()
-    rows = [
-        {"id": t, "pattern": pattern, "count": count}
-        for t, pattern, count in zip(catalog.ids, _patterns(catalog), cv.counts)
-    ]
+    rows = _motif_rows(cv.mode.catalog(), count=cv.counts)
     return lambda out: _write_rows(out, args.json, rows, {"meta": cv.meta}, "counts")
 
 
@@ -275,20 +255,13 @@ def cmd_cp(args):
     )
     sig = significance(counts, null_mean, epsilon=args.epsilon)
     cp = characteristic_profile(sig)
-    catalog = mode.catalog()
-    rows = [
-        {
-            "id": t,
-            "pattern": pattern,
-            "count": count,
-            "null_count": null_count,
-            "delta": delta,
-            "cp": value,
-        }
-        for t, pattern, count, null_count, delta, value in zip(
-            catalog.ids, _patterns(catalog), counts.counts, null_mean.counts, sig.delta, cp.cp
-        )
-    ]
+    rows = _motif_rows(
+        mode.catalog(),
+        count=counts.counts,
+        null_count=null_mean.counts,
+        delta=sig.delta,
+        cp=cp.cp,
+    )
     return (lambda out: _write_rows(out, args.json, rows, {"meta": counts.meta}, "profile")), []
 
 
@@ -325,10 +298,7 @@ def cmd_randomize(args):
 
 def cmd_catalog(args):
     catalog = enumerate_catalog(args.arity, args.states)
-    rows = [
-        {"id": t, "pattern": pattern, "open": is_open}
-        for t, pattern, is_open in zip(catalog.ids, _patterns(catalog), catalog.open_flags)
-    ]
+    rows = _motif_rows(catalog, open=catalog.open_flags)
     document = {"arity": args.arity, "states": args.states}
     return (lambda out: _write_rows(out, args.json, rows, document, "patterns")), []
 
@@ -401,18 +371,12 @@ def cmd_convert(args):
     return (lambda out: out.writelines(" ".join(map(str, e)) + "\n" for e in edges)), []
 
 
-def _add_common(p, with_mode=True, with_threads=True, with_json=True):
+def _add_common(p, with_mode=True, with_json=True):
     p.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
     if with_json:
         p.add_argument("--json", action="store_true", help="JSON instead of CSV")
-    if with_threads:
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker count, recorded only",
-        )
+    p.add_argument("--threads", type=int, default=1, help="worker count, recorded only")
     if with_mode:
         p.add_argument("--motifs", choices=("binary", "ternary"), default="binary")
         p.add_argument("--theta", type=int, default=1, help="ternary cardinality threshold")
@@ -511,10 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser, args) -> None:
-    sampling = getattr(args, "algo", None) in (
-        "edge-sample", "wedge-sample", "otf-basic", "otf-advanced"
-    )
-    if sampling:
+    if "samples" in _mode_fields(args):
         # numpy sizes the draw arrays with a C ssize_t
         if args.samples is None or not 1 <= args.samples < 1 << 63:
             parser.error("sampling algorithms need 1 <= --samples < 2**63 (-s/-r)")

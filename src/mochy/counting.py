@@ -608,8 +608,8 @@ def count_otf(
     afterwards. Triples go through count_sample_hyperwedge's merge, so
     estimates are bit-identical to it at the same seed. `workers` changes no
     result and no work. The store computes every row, once per miss, so
-    meta's recomputations (store misses) and neighbor_computations are the
-    same count; store_hits and store_evictions count the rest of its work.
+    meta's recomputations (store misses) counts every neighbor-row
+    computation; store_hits and store_evictions count the rest of its work.
     """
     if r < 1:
         raise ValueError("sample count r must be >= 1")
@@ -640,7 +640,6 @@ def count_otf(
         "triples": triples,
         "budget": budget,
         "recomputations": store.recomputations,
-        "neighbor_computations": store.recomputations,
         "store_hits": store.hits,
         "store_evictions": store.evictions,
     }

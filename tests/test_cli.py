@@ -13,6 +13,8 @@ import re
 import stat
 import subprocess
 import sys
+import threading
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -434,7 +436,22 @@ MODE_FIELDS = {
 }
 
 
+MANIFEST_KEYS = {
+    "command", "input", "input_sha256", "input_bytes", "algorithm", "samples",
+    "budget", "workers", "seed", "motifs", "variant", "theta", "p", "replicates",
+    "elapsed_seconds", "outputs", "version",
+}
+
+
 class TestManifest:
+    @pytest.mark.parametrize("command", _subcommands())
+    def test_has_the_same_keys_for_every_command(self, command, tmp_path):
+        argv, extra = _argv(command, tmp_path, CHAIN)
+        assert main(argv) == 0
+        anchor = extra[0] if command == "randomize" else argv[argv.index("--out") + 1]
+        manifest = json.loads(Path(anchor + ".manifest.json").read_text())
+        assert set(manifest) == MANIFEST_KEYS
+
     @pytest.mark.parametrize("command", _subcommands())
     def test_mode_fields_only_where_they_apply(self, command, tmp_path):
         argv, extra = _argv(command, tmp_path, CHAIN)
@@ -451,13 +468,18 @@ class TestManifest:
          {"motifs": "ternary", "variant": "mr", "theta": None, "p": 0.3}),
         (["--motifs", "ternary", "--variant", "hr-mean"],
          {"motifs": "ternary", "variant": "hr-mean", "theta": None, "p": 0.5}),
+        # samples only for a sampling algorithm, budget only for otf-*
+        (["--algo", "exact", "-r", "5", "--budget", "0.3"], {"samples": None, "budget": None}),
+        (["--algo", "wedge-sample", "-r", "5", "--budget", "0.3"],
+         {"samples": 5, "budget": None}),
+        (["--algo", "otf-basic", "-r", "5", "--budget", "0.3"], {"samples": 5, "budget": 0.3}),
     ])
     def test_mode_fields_follow_the_motif_mode(self, flags, fields, tmp_path):
         argv, _ = _argv("count", tmp_path, CHAIN)
         assert main([*argv, *flags]) == 0
         out = argv[argv.index("--out") + 1]
         manifest = json.loads(Path(out + ".manifest.json").read_text())
-        assert {key: manifest[key] for key in BINARY_FIELDS} == fields
+        assert {key: manifest[key] for key in fields} == fields
 
     @pytest.mark.parametrize("command", _subcommands())
     def test_every_command_vouches_for_what_it_wrote(self, command, tmp_path):
@@ -612,3 +634,56 @@ class TestAtomicOutputs:
         assert fresh.stat().st_mode == reference.stat().st_mode
         manifest = tmp_path / "fresh.csv.manifest.json"
         assert manifest.stat().st_mode == reference.stat().st_mode
+
+
+class TestInPlaceOutputs:
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_written_and_never_read_back(self, chain_file, tmp_path):
+        regular = tmp_path / "counts.csv"
+        assert main(["count", chain_file, "--out", str(regular)]) == 0
+        fifo = str(tmp_path / "fifo")
+        os.mkfifo(fifo)
+        received = []
+
+        def drain():
+            with open(fifo, "rb") as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        try:
+            # a run that opened the pipe again to checksum it would block
+            # there; the timeout fails this test instead of hanging the suite
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from mochy.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "count", chain_file, "--out", fifo],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": SRC},
+            )
+        finally:
+            with suppress(OSError):  # end a reader still waiting for a writer
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert done.returncode == 0
+        assert received == [regular.read_bytes()]
+        manifest = json.loads(done.stderr)
+        assert manifest["outputs"] == {}
+        assert not os.path.exists(fifo + ".manifest.json")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_device_gets_no_manifest_beside_it(self, chain_file, capsys):
+        assert main(["count", chain_file, "--out", "/dev/null"]) == 0
+        manifest = json.loads(capsys.readouterr().err)
+        assert manifest["command"] == "count"
+        assert manifest["outputs"] == {}
+
+    def test_manifest_goes_next_to_the_first_regular_file(self, chain_file, tmp_path, capsys):
+        lg_out = str(tmp_path / "lg.csv")
+        assert main(["stats", chain_file, "--linegraph-out", lg_out]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("key,value\n")
+        assert err == ""
+        manifest = json.loads(Path(lg_out + ".manifest.json").read_text())
+        digest = hashlib.sha256(Path(lg_out).read_bytes()).hexdigest()
+        assert manifest["outputs"] == {lg_out: digest}

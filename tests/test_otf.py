@@ -125,7 +125,6 @@ def oracle_otf(sets, r: int, budget: int, seed: int, variant: str):
     ]
     meta = {
         "recomputations": store.recomputations,
-        "neighbor_computations": store.recomputations,
         "store_hits": store.hits,
         "store_evictions": store.evictions,
     }
