@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
 import stat
 import sys
 import time
+import warnings
 from contextlib import suppress
 
 import numpy as np
@@ -38,7 +40,7 @@ from .hypergraph import (
     ParseError,
     convert_nverts_format,
     dump_hypergraph,
-    load_hypergraph_path,
+    load_hypergraph,
 )
 from .linegraph import build_line_graph, csv_rows, dump_line_graph
 
@@ -54,22 +56,32 @@ def _sha256(path: str) -> str:
 def _run(args) -> int:
     """Time one command, write its result to --out, emit the run's manifest.
 
-    A command loads and computes, then returns (write, extra): a function
-    that writes its result to a text handle (None when --out is not a file,
-    as randomize's prefix), and the (path, write) pairs of its other files.
-    Every regular file (or one that does not exist yet) is written to a
-    temporary file beside it, and all of them replace their targets only
-    once every write has succeeded, so a failed run leaves the earlier
-    outputs and manifest as they were. stdout (--out -), devices and pipes
-    are written in place and never read back. The manifest holds a checksum
-    of every staged file; it goes next to the first of them, or to stderr
-    when there is none. Two outputs (the manifest included) that resolve to
-    the same file are an error, raised before anything is written.
+    The input file, if any, is read once: the manifest's input_sha256 and
+    input_bytes are those of its bytes, and the command receives the
+    hypergraph parsed from them as UTF-8 text (else None). It computes, then
+    returns (write, extra): a function that writes its result to a text
+    handle (None when --out is not a file, as randomize's prefix), and the
+    (path, write) pairs of its other files. Every regular file (or one that
+    does not exist yet) is written to a temporary file beside it, and all of
+    them replace their targets only once every write has succeeded, so a
+    failed run leaves the earlier outputs and manifest as they were. Any
+    output path '-' is stdout; it, devices and pipes are written in place
+    and never read back. The manifest holds a checksum of every staged file;
+    it goes next to the first of them, or to stderr when there is none. Two
+    outputs (the manifest included) that resolve to the same file, two '-'
+    among them, are an error, raised before anything is written.
     """
     start = time.perf_counter()
-    write, extra = args.func(args)
-    to_stdout = write and args.out == "-"
-    outputs = ([(args.out, write)] if write and not to_stdout else []) + extra
+    source = getattr(args, "input", None)
+    h = digest = size = None
+    if source:
+        with open(source, "rb") as fh:
+            data = fh.read()
+        digest, size = hashlib.sha256(data).hexdigest(), len(data)
+        h = load_hypergraph(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        del data
+    write, extra = args.func(args, h)
+    outputs = ([(args.out, write)] if write else []) + extra
     regular = [path for path, _ in outputs if not _in_place(path)]
     anchor = regular[0] + ".manifest.json" if regular else None
     paths = [path for path, _ in outputs] + ([anchor] if anchor else [])
@@ -77,18 +89,15 @@ def _run(args) -> int:
     for n, target in enumerate(targets):
         if target in targets[:n]:
             raise ValueError(f"two outputs would write the same file: {paths[n]}")
-    if to_stdout:
-        write(sys.stdout)
     staged: dict[str, str] = {}  # output path -> the temporary file that replaces it
     try:
         for path, write_file in outputs:
             _write_file(_stage(path, staged) if path in regular else path, write_file)
-        source = getattr(args, "input", None)
         manifest = {
             "command": args.command,
             "input": source,
-            "input_sha256": _sha256(source) if source else None,
-            "input_bytes": os.path.getsize(source) if source else None,
+            "input_sha256": digest,
+            "input_bytes": size,
             "algorithm": getattr(args, "algo", None),
             "workers": getattr(args, "threads", 1),
             "seed": getattr(args, "seed", 0),
@@ -115,10 +124,11 @@ def _run(args) -> int:
 
 
 def _in_place(path: str) -> bool:
-    """Whether path is an existing device, pipe or other file that is not a
-    regular one, and so cannot be replaced: it is written where it is."""
+    """Whether path is '-' (stdout) or an existing device, pipe or other
+    file that is not a regular one, and so cannot be replaced: it is
+    written where it is."""
     try:
-        return not stat.S_ISREG(os.stat(path).st_mode)
+        return path == "-" or not stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
         return False
 
@@ -141,9 +151,12 @@ def _stage(path: str, staged: dict[str, str]) -> str:
 
 
 def _write_file(path: str, write) -> None:
-    """Call write on a text handle to path. When it fails, its own error is
-    the one raised, not the second one that closing the handle raises while
-    it flushes what is left in its buffer."""
+    """Call write on a text handle to path, or on stdout for '-'. When it
+    fails, its own error is the one raised, not the second one that closing
+    the handle raises while it flushes what is left in its buffer."""
+    if path == "-":
+        write(sys.stdout)
+        return
     out = open(path, "w", encoding="utf-8")
     try:
         write(out)
@@ -231,16 +244,14 @@ def _run_counter(args, h, mode: MotifMode, seed: int) -> CountVector:
     return sample(h, lg, args.samples, seed, mode, args.threads)
 
 
-def cmd_count(args):
-    h = load_hypergraph_path(args.input)
+def cmd_count(args, h):
     return _counts_writer(args, _run_counter(args, h, _mode_from_args(args), args.seed)), []
 
 
-def cmd_cp(args):
+def cmd_cp(args, h):
     from .nullmodel import NullModelConfig, null_counts
     from .profiles import characteristic_profile, significance
 
-    h = load_hypergraph_path(args.input)
     mode = _mode_from_args(args)
     counts = _run_counter(args, h, mode, args.seed)
 
@@ -265,8 +276,7 @@ def cmd_cp(args):
     return (lambda out: _write_rows(out, args.json, rows, {"meta": counts.meta}, "profile")), []
 
 
-def cmd_enumerate(args):
-    h = load_hypergraph_path(args.input)
+def cmd_enumerate(args, h):
     mode = _mode_from_args(args)
     lg = build_line_graph(h, workers=args.threads)
 
@@ -285,28 +295,25 @@ def cmd_enumerate(args):
     return write, []
 
 
-def cmd_randomize(args):
-    from .nullmodel import randomize_chung_lu
-
-    h = load_hypergraph_path(args.input)
+def cmd_randomize(args, h):
+    from .nullmodel import _replicate
 
     def writer(rep):
-        return lambda out: dump_hypergraph(randomize_chung_lu(h, seed=(args.seed << 64) ^ rep), out)
+        return lambda out: dump_hypergraph(_replicate(h, args.seed, rep)[0], out)
 
     return None, [(f"{args.out}.{rep}.txt", writer(rep)) for rep in range(args.replicates)]
 
 
-def cmd_catalog(args):
+def cmd_catalog(args, _):
     catalog = enumerate_catalog(args.arity, args.states)
     rows = _motif_rows(catalog, open=catalog.open_flags)
     document = {"arity": args.arity, "states": args.states}
     return (lambda out: _write_rows(out, args.json, rows, document, "patterns")), []
 
 
-def cmd_profile_node(args):
+def cmd_profile_node(args, h):
     from .profiles import node_profile
 
-    h = load_hypergraph_path(args.input)
     mode = _mode_from_args(args)
     found = np.flatnonzero(h.node_labels == args.node)
     if not len(found):
@@ -314,16 +321,15 @@ def cmd_profile_node(args):
     return _counts_writer(args, node_profile(h, int(found[0]), kind=args.kind, mode=mode)), []
 
 
-def cmd_profile_edge(args):
+def cmd_profile_edge(args, h):
     from .profiles import hyperedge_profile
 
-    h = load_hypergraph_path(args.input)
     mode = _mode_from_args(args)
     lg = build_line_graph(h, workers=args.threads)
     return _counts_writer(args, hyperedge_profile(h, lg, args.edge, mode)), []
 
 
-def cmd_recommend_samples(args):
+def cmd_recommend_samples(args, _):
     n = recommend_samples(
         epsilon=args.epsilon,
         delta=args.delta,
@@ -336,8 +342,7 @@ def cmd_recommend_samples(args):
     return (lambda out: out.write(f"{n}\n")), []
 
 
-def cmd_stats(args):
-    h = load_hypergraph_path(args.input)
+def cmd_stats(args, h):
     lg = build_line_graph(h, workers=args.threads)
     stats = {
         "num_nodes": h.num_nodes,
@@ -362,7 +367,7 @@ def cmd_stats(args):
     return write, [(args.linegraph_out, lambda out: dump_line_graph(lg, out))]
 
 
-def cmd_convert(args):
+def cmd_convert(args, _):
     with open(args.nverts, encoding="utf-8") as fh:
         nverts = fh.readlines()
     with open(args.simplices, encoding="utf-8") as fh:
@@ -498,12 +503,18 @@ def _validate(parser, args) -> None:
         parser.error("--seed must be in [0, 2**64)")
 
 
+def _warn(message, *_) -> None:
+    print(f"mochy: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
     try:
-        return _run(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warn
+            return _run(args)
     except EnumerationAborted as exc:
         print(f"mochy: error: {exc}: {exc.__cause__}", file=sys.stderr)
         return 1

@@ -371,13 +371,23 @@ def _instances(
         yield *triples[:3], _classify(h, mode, triples)
 
 
-def _tally(h: Hypergraph, mode: MotifMode, chunks: Iterable[Triples]) -> tuple[list[int], int]:
-    """Per-motif instance tallies of the candidate triples, as Python ints,
-    and the number of triples classified."""
-    counts = np.zeros(len(mode.catalog()) + 1, dtype=np.int64)
+def _result(
+    h: Hypergraph, mode: MotifMode, algorithm: str, chunks: Iterable[Triples],
+    scale: tuple[float, float] | None = None, **fields,
+) -> CountVector:
+    """Every engine's CountVector: per-motif tallies of the candidate triples
+    as Python ints, or times scale's (closed, open) factor by motif, and meta
+    holding algorithm, num_edges, the engine's fields, then the number of
+    triples classified."""
+    catalog = mode.catalog()
+    tally = np.zeros(len(catalog) + 1, dtype=np.int64)
     for triples in chunks:
-        counts += np.bincount(_classify(h, mode, triples), minlength=len(counts))
-    return counts[1:].tolist(), int(counts.sum())
+        tally += np.bincount(_classify(h, mode, triples), minlength=len(tally))
+    counts = tally[1:].tolist()
+    if scale is not None:
+        counts = [c * scale[is_open] for c, is_open in zip(counts, catalog.open_flags)]
+    meta = {"algorithm": algorithm, "num_edges": h.num_edges, **fields}
+    return CountVector(mode, counts, {**meta, "triples": int(tally.sum())})
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +403,8 @@ def count_exact(
     is tallied iff e_j and e_k are disjoint or i is the smallest index, so
     each instance is counted exactly once.
     """
-    counts, triples = _tally(h, mode, _exact_triples(lg))
-    meta = {
-        "algorithm": "exact",
-        "num_edges": h.num_edges,
-        "num_wedges": lg.wedge_count,
-        "workers": workers,
-        "triples": triples,
-    }
-    return CountVector(mode, counts, meta)
+    fields = {"num_wedges": lg.wedge_count, "workers": workers}
+    return _result(h, mode, "exact", _exact_triples(lg), **fields)
 
 
 class EnumerationAborted(RuntimeError):
@@ -455,40 +458,19 @@ def count_sample_hyperedge(
     if h.num_edges < 3:
         raise ValueError("hyperedge sampling needs at least 3 hyperedges")
     centers = _draws(seed, range(s), h.num_edges)
-    merged, triples = _tally(h, mode, _edge_triples(lg, centers))
     scale = h.num_edges / (3 * s)
-    meta = {
-        "algorithm": "edge-sample",
-        "num_edges": h.num_edges,
-        "num_wedges": lg.wedge_count,
-        "samples": s,
-        "seed": seed,
-        "workers": workers,
-        "triples": triples,
-    }
-    return CountVector(mode, [c * scale for c in merged], meta)
-
-
-def _no_wedges(mode: MotifMode, algorithm: str, r: int, seed: int) -> CountVector:
-    warnings.warn("hypergraph has no hyperwedges; estimate is all-zero")
-    meta = {"algorithm": algorithm, "num_wedges": 0, "samples": r, "seed": seed}
-    return CountVector(mode, [0.0] * len(mode.catalog()), meta)
-
-
-def _rescale_wedge_estimate(counts: list[int], mode: MotifMode, wedges: int, r: int):
-    catalog = mode.catalog()
-    open_scale = wedges / (2 * r)
-    closed_scale = wedges / (3 * r)
-    return [
-        c * (open_scale if is_open else closed_scale)
-        for c, is_open in zip(counts, catalog.open_flags)
-    ]
+    fields = {"num_wedges": lg.wedge_count, "samples": s, "seed": seed, "workers": workers}
+    return _result(h, mode, "edge-sample", _edge_triples(lg, centers), (scale, scale), **fields)
 
 
 def _wedge_draws(seed: int, draws: range, prefix: np.ndarray):
     """Uniform hyperwedges for the given sample indices, as arrays (i, pos):
     a degree-weighted endpoint i, then the position of the other endpoint
-    among i's sorted neighbors. prefix holds the cumulative degrees from 0."""
+    among i's sorted neighbors. prefix holds the cumulative degrees from 0.
+    A graph without hyperwedges gets no draws, and a warning."""
+    if not prefix[-1]:
+        warnings.warn("hypergraph has no hyperwedges; estimate is all-zero")
+        draws = range(0)
     m = _draws(seed, draws, int(prefix[-1]))
     i = np.searchsorted(prefix, m, side="right") - 1
     return i, m - prefix[i]
@@ -510,22 +492,12 @@ def count_sample_hyperwedge(
     if r < 1:
         raise ValueError("sample count r must be >= 1")
     wedges = lg.wedge_count
-    if wedges == 0:
-        return _no_wedges(mode, "wedge-sample", r, seed)
     i, pos = _wedge_draws(seed, range(r), lg.indptr)
     entries = lg.indptr[i] + pos
     j, w_ij = lg.indices[entries], lg.weights[entries]
-    merged, triples = _tally(h, mode, _wedge_triples(lg, i, j, w_ij))
-    meta = {
-        "algorithm": "wedge-sample",
-        "num_edges": h.num_edges,
-        "num_wedges": wedges,
-        "samples": r,
-        "seed": seed,
-        "workers": workers,
-        "triples": triples,
-    }
-    return CountVector(mode, _rescale_wedge_estimate(merged, mode, wedges, r), meta)
+    scale = (wedges / (3 * r), wedges / (2 * r))
+    fields = {"num_wedges": wedges, "samples": r, "seed": seed, "workers": workers}
+    return _result(h, mode, "wedge-sample", _wedge_triples(lg, i, j, w_ij), scale, **fields)
 
 
 def _second_endpoints(store, degrees, i, pos, variant: str):
@@ -540,7 +512,7 @@ def _second_endpoints(store, degrees, i, pos, variant: str):
         _, first, inverse = np.unique(i, return_index=True, return_inverse=True)
         lookup = np.argsort(np.argsort(first))[inverse]
     by_lookup = np.argsort(lookup, kind="stable")
-    bounds = np.searchsorted(lookup[by_lookup], np.arange(lookup.max() + 2))
+    bounds = np.searchsorted(lookup[by_lookup], np.arange(lookup.max(initial=-1) + 2))
     ids = i[by_lookup[bounds[:-1]]]
     j, w_ij = np.empty(len(i), np.int32), np.empty(len(i), np.int32)
     for block in blocks(degrees[ids], CHUNK):
@@ -613,37 +585,25 @@ def count_otf(
     """
     if r < 1:
         raise ValueError("sample count r must be >= 1")
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
     if variant not in {"basic", "advanced"}:
         raise ValueError(f"unknown on-the-fly variant {variant!r}")
+    store = MemoizedNeighborStore(h, budget)
     degrees = h.line_degrees
     prefix = np.concatenate([[0], np.cumsum(degrees)])
     wedges = int(prefix[-1]) // 2
-    if wedges == 0:
-        return _no_wedges(mode, f"otf-{variant}", r, seed)
-    store = MemoizedNeighborStore(h, budget)
     i, pos = _wedge_draws(seed, range(r), prefix)
     j, w_ij, lookup = _second_endpoints(store, degrees, i, pos, variant)
     order, evict_after = _wedge_order(degrees, i, j, lookup, variant)
     # only the ordered wedges stay alive through the wedge pass
     i, j, w_ij = i[order], j[order], w_ij[order]
     del pos, lookup, order
-    merged, triples = _tally(h, mode, _store_triples(store, degrees, i, j, w_ij, evict_after))
-    meta = {
-        "algorithm": f"otf-{variant}",
-        "num_edges": h.num_edges,
-        "num_wedges": wedges,
-        "samples": r,
-        "seed": seed,
-        "workers": workers,
-        "triples": triples,
-        "budget": budget,
-        "recomputations": store.recomputations,
-        "store_hits": store.hits,
-        "store_evictions": store.evictions,
-    }
-    return CountVector(mode, _rescale_wedge_estimate(merged, mode, wedges, r), meta)
+    chunks = _store_triples(store, degrees, i, j, w_ij, evict_after)
+    scale = (wedges / (3 * r), wedges / (2 * r))
+    fields = {"num_wedges": wedges, "samples": r, "seed": seed, "workers": workers}
+    out = _result(h, mode, f"otf-{variant}", chunks, scale, **fields)
+    out.meta.update(budget=budget, recomputations=store.recomputations,
+                    store_hits=store.hits, store_evictions=store.evictions)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,13 @@ def randomize_chung_lu(h: Hypergraph, seed: int = 0) -> Hypergraph:
     return from_pairs(*redraw_incidences(h, random.Random(seed)))
 
 
+def _replicate(h: Hypergraph, seed: int, rep: int) -> tuple[Hypergraph, random.Random]:
+    """Replicate rep of the null model seeded with seed, and its stream,
+    derived from (seed, rep), right after the redraw."""
+    rng = _stream(seed, rep)
+    return from_pairs(*redraw_incidences(h, rng)), rng
+
+
 def null_counts(
     h: Hypergraph,
     counter: Callable[[Hypergraph, random.Random], CountVector],
@@ -98,8 +105,7 @@ def null_counts(
     """
     vectors = []
     for rep in range(cfg.replicates):
-        rng = _stream(cfg.seed, rep)
-        vectors.append(counter(from_pairs(*redraw_incidences(h, rng)), rng))
+        vectors.append(counter(*_replicate(h, cfg.seed, rep)))
     size = len(vectors[0].counts)
     mean = [
         sum(cv.counts[t] for cv in vectors) / cfg.replicates for t in range(size)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import BINARY, MotifMode
-from .counting import CountVector, _edge_triples, _tally, count_exact
+from .counting import CountVector, _edge_triples, _result, count_exact
 from .hypergraph import Hypergraph, from_pairs
 from .linegraph import LineGraph, build_line_graph, ragged_range
 
@@ -83,8 +83,7 @@ def hyperedge_profile(
     """
     if not 0 <= e < h.num_edges:
         raise IndexError(f"hyperedge index {e} out of range (|E|={h.num_edges})")
-    counts, _ = _tally(h, mode, _edge_triples(lg, np.array([e])))
-    return CountVector(mode, counts, {"algorithm": "hyperedge-profile", "hyperedge": e})
+    return _result(h, mode, "hyperedge-profile", _edge_triples(lg, np.array([e])), hyperedge=e)
 
 
 @dataclass(frozen=True)

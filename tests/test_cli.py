@@ -14,6 +14,7 @@ import stat
 import subprocess
 import sys
 import threading
+import warnings
 from contextlib import suppress
 from pathlib import Path
 
@@ -22,10 +23,13 @@ import pytest
 
 from mochy import (
     MotifMode,
+    NullModelConfig,
     build_line_graph,
+    count_exact,
     dump_hypergraph,
     enumerate_instances,
     load_hypergraph_path,
+    null_counts,
 )
 from mochy.cli import _write_rows, build_parser, main
 
@@ -221,6 +225,21 @@ class TestMisc:
             assert lines
         manifest = json.loads(open(f"{prefix}.0.txt.manifest.json").read())
         assert len(manifest["outputs"]) == 3
+
+    def test_randomize_writes_the_null_models_replicates(self, twelve_file, tmp_path):
+        prefix = str(tmp_path / "rand")
+        assert main(["randomize", twelve_file, "--replicates", "2",
+                     "--seed", "5", "--out", prefix]) == 0
+        replicates = []
+
+        def counter(h_rand, rng):
+            text = io.StringIO()
+            dump_hypergraph(h_rand, text)
+            replicates.append(text.getvalue())
+            return count_exact(h_rand, build_line_graph(h_rand))
+
+        null_counts(load_hypergraph_path(twelve_file), counter, NullModelConfig(2, 5))
+        assert [Path(f"{prefix}.{rep}.txt").read_text() for rep in range(2)] == replicates
 
     def test_profile_node(self, chain_file, tmp_path):
         out = str(tmp_path / "np.csv")
@@ -687,3 +706,97 @@ class TestInPlaceOutputs:
         manifest = json.loads(Path(lg_out + ".manifest.json").read_text())
         digest = hashlib.sha256(Path(lg_out).read_bytes()).hexdigest()
         assert manifest["outputs"] == {lg_out: digest}
+
+    def test_dash_is_stdout_for_every_output(self, chain_file, tmp_path, monkeypatch, capsys):
+        lg_file = tmp_path / "lg.csv"
+        assert main(["stats", chain_file, "--out", str(tmp_path / "a.csv"),
+                     "--linegraph-out", str(lg_file)]) == 0
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "b.csv"
+        assert main(["stats", chain_file, "--out", str(out), "--linegraph-out", "-"]) == 0
+        assert capsys.readouterr().out == lg_file.read_text()
+        assert not os.path.exists(tmp_path / "-")
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert list(manifest["outputs"]) == [str(out)]
+
+    def test_two_dashes_write_nothing(self, chain_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        before = _listing(tmp_path)
+        # --out defaults to '-'
+        assert main(["stats", chain_file, "--linegraph-out", "-"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "mochy: error: two outputs would write the same file: -\n"
+        assert _listing(tmp_path) == before
+
+
+class TestWarnings:
+    def test_are_one_line_each(self, tmp_path, capsys):
+        src = tmp_path / "nowedge.txt"
+        src.write_text("1 2\n3 4\n5 6\n")
+        out = str(tmp_path / "counts.csv")
+        shown = warnings.showwarning
+        assert main(["count", str(src), "--algo", "wedge-sample", "-r", "5", "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert err == "mochy: warning: hypergraph has no hyperwedges; estimate is all-zero\n"
+        assert warnings.showwarning is shown  # library callers see warnings as before
+
+
+def _run_child(argv, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from mochy.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC}, **kwargs,
+    )
+
+
+def _counts_of(path, tmp_path):
+    """The count output of the input file at path."""
+    out = tmp_path / "reference.csv"
+    assert main(["count", path, "--out", str(out)]) == 0
+    return out.read_text()
+
+
+class TestInputReadOnce:
+    """The manifest's input checksum and size are those of the bytes the
+    run parsed, also where the input cannot be read a second time."""
+
+    def _check_manifest(self, out, data):
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["input_sha256"] == hashlib.sha256(data).hexdigest()
+        assert manifest["input_bytes"] == len(data)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_piped_stdin(self, chain_file, tmp_path):
+        data = Path(chain_file).read_bytes()
+        out = tmp_path / "counts.csv"
+        done = _run_child(["count", "/dev/stdin", "--out", str(out)], input=data)
+        assert done.returncode == 0, done.stderr
+        assert out.read_text() == _counts_of(chain_file, tmp_path)
+        self._check_manifest(out, data)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe(self, chain_file, tmp_path):
+        data = Path(chain_file).read_bytes()
+        fifo = str(tmp_path / "fifo")
+        os.mkfifo(fifo)
+
+        def feed():
+            with suppress(OSError), open(fifo, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        out = tmp_path / "counts.csv"
+        try:
+            # a run that opened the pipe again to checksum it would wait
+            # there for a second writer; the timeout fails this test instead
+            done = _run_child(["count", fifo, "--out", str(out)])
+        finally:
+            with suppress(OSError):  # end a writer still waiting for a reader
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert out.read_text() == _counts_of(chain_file, tmp_path)
+        self._check_manifest(out, data)

@@ -1,7 +1,9 @@
 """Exact counting, enumeration, and estimator-quality calculators."""
 
+import io
 import math
 import random
+import warnings
 from itertools import combinations
 from unittest import mock
 
@@ -12,18 +14,24 @@ from mochy import (
     MotifMode,
     build_line_graph,
     count_exact,
+    count_otf,
+    count_sample_hyperedge,
+    count_sample_hyperwedge,
     enumerate_catalog,
     enumerate_instances,
     estimator_variance,
     from_edge_sets,
+    hyperedge_profile,
+    load_hypergraph,
     pair_overlap_stats,
     recommend_samples,
     ternary_refinement_map,
 )
 from mochy import counting
-from mochy.counting import EnumerationAborted, InstanceCapExceeded, PairOverlapStats
+from mochy.counting import ALGORITHMS, EnumerationAborted, InstanceCapExceeded, PairOverlapStats
 
 from conftest import oracle_count_vector, oracle_pair_overlap_stats, random_hypergraph
+from test_golden import golden_input
 
 
 class TestExact:
@@ -299,3 +307,52 @@ class TestRecommendSamples:
     def test_bound_beyond_the_float_range_rejected(self, args):
         with pytest.raises(ValueError, match="too large"):
             recommend_samples(*args, "edge")
+
+
+# Each engine's meta keys, in order; the same with hyperwedges or without.
+SAMPLED_KEYS = ["algorithm", "num_edges", "num_wedges", "samples", "seed", "workers", "triples"]
+STORE_KEYS = ["budget", "recomputations", "store_hits", "store_evictions"]
+META_KEYS = {
+    "exact": ["algorithm", "num_edges", "num_wedges", "workers", "triples"],
+    "edge-sample": SAMPLED_KEYS,
+    "wedge-sample": SAMPLED_KEYS,
+    "otf-basic": SAMPLED_KEYS + STORE_KEYS,
+    "otf-advanced": SAMPLED_KEYS + STORE_KEYS,
+}
+META_GRAPHS = {"golden": golden_input(), "wedgeless": "1 2\n3 4\n5 6\n"}
+
+
+def _count(algorithm, h):
+    lg = build_line_graph(h)
+    if algorithm == "exact":
+        return count_exact(h, lg)
+    if algorithm == "edge-sample":
+        return count_sample_hyperedge(h, lg, 20, seed=1)
+    if algorithm == "wedge-sample":
+        return count_sample_hyperwedge(h, lg, 20, seed=1)
+    return count_otf(h, 20, 10, seed=1, variant=algorithm[4:])
+
+
+class TestMeta:
+    @pytest.mark.parametrize("graph", sorted(META_GRAPHS))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_keys_in_order_with_or_without_wedges(self, algorithm, graph):
+        h = load_hypergraph(io.StringIO(META_GRAPHS[graph]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the wedgeless wedge estimates warn
+            meta = _count(algorithm, h).meta
+        assert list(meta) == META_KEYS[algorithm]
+        assert meta["num_edges"] == h.num_edges
+        if graph == "wedgeless":
+            assert meta["num_wedges"] == meta["triples"] == 0
+            assert [meta[key] for key in STORE_KEYS[1:] if key in meta] in ([], [0, 0, 0])
+        else:
+            assert meta["triples"] > 0
+
+    def test_hyperedge_profile_keys_in_order(self):
+        h = load_hypergraph(io.StringIO(golden_input()))
+        meta = hyperedge_profile(h, build_line_graph(h), 3).meta
+        assert list(meta) == ["algorithm", "num_edges", "hyperedge", "triples"]
+        assert (meta["algorithm"], meta["num_edges"], meta["hyperedge"]) == (
+            "hyperedge-profile", h.num_edges, 3,
+        )

@@ -83,6 +83,43 @@ GOLDEN = {
         ["profile-node", "--node", "4"],
         "2dd33f73f72e61533fcc73ab3156f8435f8b2cf3f821d9950319c9f2dcf7a5d7",
     ),
+    "profile-edge": (
+        ["profile-edge", "--edge", "3"],
+        "ab632f544daf0c911505423db007c5f4d8d5e95db4129a64a0e5ee904e6ffd76",
+    ),
+    # --json carries each engine's meta, so its keys and their order are pinned
+    "exact-json": (
+        ["count", "--algo", "exact", "--json"],
+        "f5cec30c27e5f8ec3398a606bda8d51208e1260e6ac7b42b783a439c9187b7b1",
+    ),
+    "edge-sample-json": (
+        ["count", "--algo", "edge-sample", "-s", "30", *SAMPLING, "--json"],
+        "967aff3b1975fc240c5aabb831ff055ae2e187166065403a175661aa165c91a9",
+    ),
+    "wedge-sample-json": (
+        ["count", "--algo", "wedge-sample", "-r", "40", *SAMPLING, "--json"],
+        "c17803376fd46a49d05b545c1e19c0cae9e5abf2f469a260730c991f4b8bd624",
+    ),
+    "otf-basic-json": (
+        ["count", "--algo", "otf-basic", "-r", "40", "--budget", "0.3", *SAMPLING, "--json"],
+        "d78965115ac105ce923ae9c46092b97e5e00c173b637b1f50f2bdfa0e84018b2",
+    ),
+    "otf-advanced-json": (
+        ["count", "--algo", "otf-advanced", "-r", "40", "--budget", "0.3", *SAMPLING, "--json"],
+        "10f6db726cc2d54c49ec66bb7b80a95581342b9ccff3aabb521d61031eb5cae0",
+    ),
+}
+
+# `catalog` reads no input: the binary and the 3-state ternary catalogs.
+CATALOG = {
+    "binary": (
+        [],
+        "dae90d387793352a00418188f09920ac91c37a967d5371939eb8af7e6afcb305",
+    ),
+    "ternary": (
+        ["--states", "3"],
+        "8e18fa876f83c15d23745a360870bfe10447cfca36b56bb3611c9babb6ea1f6b",
+    ),
 }
 
 # The file `stats --linegraph-out` writes.
@@ -140,3 +177,11 @@ def test_randomize_output_bytes_are_pinned(tmp_path):
     assert main([argv[0], str(src), *argv[1:], "--out", str(prefix)]) == 0
     written = [(tmp_path / f"rand.{rep}.txt").read_bytes() for rep in range(len(digests))]
     assert [hashlib.sha256(data).hexdigest() for data in written] == digests
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_output_bytes_are_pinned(name, tmp_path):
+    flags, digest = CATALOG[name]
+    out = tmp_path / "catalog.csv"
+    assert main(["catalog", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
