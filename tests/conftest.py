@@ -8,6 +8,7 @@ so they can vouch for the counting path end to end.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import fields
 from itertools import combinations, permutations
 
@@ -45,6 +46,17 @@ def assert_valid(h: Hypergraph) -> None:
     members = owner * h.num_nodes + h.edge_nodes
     assert np.isin(h.node_edges.astype(np.int64) * h.num_nodes + node_of, members).all()
     assert np.diff(h.node_ptr).sum() == h.total_incidences()
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the tracemalloc peak in bytes while it ran); what was
+    allocated before the call, its arguments included, is not counted."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def oracle_regions(a: frozenset, b: frozenset, c: frozenset) -> tuple[int, ...]:

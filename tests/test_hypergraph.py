@@ -13,7 +13,8 @@ from mochy import (
     from_edge_sets,
     load_hypergraph,
 )
-from mochy.hypergraph import convert_nverts_format
+from mochy.cli import main
+from mochy.hypergraph import _LINE_BLOCK, convert_nverts_format
 
 from conftest import assert_valid, edge_sets, random_hypergraph
 
@@ -56,6 +57,30 @@ class TestLoad:
     def test_label_outside_int64_is_rejected(self):
         with pytest.raises(ValueError, match="64-bit"):
             load_lines(f"1 {1 << 63}")
+
+    @pytest.mark.parametrize(
+        "lines, line_no, token",
+        [
+            (["1 99999999999999999999", "2 x"], 2, "x"),
+            (["99999999999999999999 x"], 1, "x"),
+            (["1 y 99999999999999999999"], 1, "y"),
+            # the wide label and the bad token in different blocks of lines
+            (["-99999999999999999999 1", *["2 3"] * _LINE_BLOCK, "4,z"], _LINE_BLOCK + 2, "z"),
+        ],
+    )
+    def test_parse_error_comes_before_a_label_outside_int64(self, lines, line_no, token):
+        with pytest.raises(ParseError, match=f"^line {line_no}: non-integer node label '{token}'$"):
+            load_lines(*lines)
+
+    def test_cli_reports_the_parse_error_before_a_label_outside_int64(self, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        path.write_text("1 99999999999999999999\n2 x\n")
+        assert main(["count", str(path)]) == 1
+        assert capsys.readouterr().err == "mochy: error: line 2: non-integer node label 'x'\n"
+
+    def test_from_edge_sets_rejects_a_label_outside_int64(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            from_edge_sets([[1, 2], [1 << 63]])
 
     def test_within_line_repeats_collapse(self):
         h = load_lines("5 5 6")

@@ -10,12 +10,14 @@ import io
 import random
 from bisect import bisect_right
 from itertools import accumulate, chain
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mochy import EmptyInputError, from_edge_sets, load_hypergraph
+from mochy import nullmodel
 from mochy.hypergraph import from_pairs
 from mochy.nullmodel import _randbelow, randomize_chung_lu
 
@@ -69,6 +71,8 @@ def assert_matches_reference(h, edge_sets):
     assert h.node_edges.tolist() == list(chain.from_iterable(incidence))
     assert h.edge_ptr.tolist() == [0, *accumulate(map(len, edges))]
     assert h.node_ptr.tolist() == [0, *accumulate(map(len, incidence))]
+    arrays = (h.edge_ptr, h.edge_nodes, h.node_ptr, h.node_edges, h.node_labels)
+    assert [a.dtype for a in arrays] == [np.int64, np.int32, np.int64, np.int32, np.int64]
     sizes, keys = h.member_arrays
     assert sizes.tolist() == list(map(len, edges))
     assert keys.tolist() == [i * len(labels) + v for i, e in enumerate(edges) for v in e]
@@ -170,10 +174,13 @@ def test_redraw_when_total_is_one():
     st.integers(0, 1 << 64),
 )
 def test_randbelow_equals_randrange_calls(bound, count, seed):
-    drawn, reference = random.Random(seed), random.Random(seed)
-    values = _randbelow(drawn, bound, count)
-    assert values.tolist() == [reference.randrange(bound) for _ in range(count)]
-    assert drawn.getstate() == reference.getstate()
+    # the default block reads all words at once here; 7 words a block splits them
+    for block in (nullmodel._WORD_BLOCK, 7):
+        drawn, reference = random.Random(seed), random.Random(seed)
+        with mock.patch.object(nullmodel, "_WORD_BLOCK", block):
+            values = _randbelow(drawn, bound, count)
+        assert values.tolist() == [reference.randrange(bound) for _ in range(count)]
+        assert drawn.getstate() == reference.getstate()
 
 
 @INGEST

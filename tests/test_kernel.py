@@ -6,7 +6,6 @@ triples and inside the member lists scanned for triple intersections.
 """
 
 import random
-import tracemalloc
 from bisect import bisect_right
 from itertools import combinations, permutations
 from unittest import mock
@@ -24,13 +23,15 @@ from mochy import (
     count_sample_hyperwedge,
     enumerate_instances,
     from_edge_sets,
+    load_hypergraph,
 )
 from mochy import linegraph
 from mochy.linegraph import LineGraph, hyperedge_neighbors
 from mochy import counting
 from mochy.counting import _draws, _stream
+from mochy.nullmodel import _replicate
 
-from conftest import edge_sets, oracle_count_vector, oracle_regions
+from conftest import edge_sets, oracle_count_vector, oracle_regions, traced_peak
 
 KERNEL = settings(max_examples=40, deadline=None)
 
@@ -315,16 +316,47 @@ def test_exact_peak_memory_is_bounded_by_the_chunk():
         h = uniform_graph(edges, nodes, seed)
         lg = build_line_graph(h)
         lg.keys, h.member_arrays
-        tracemalloc.start()
-        try:
-            exact = count_exact(h, lg)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        exact, peak = traced_peak(count_exact, h, lg)
+        peaks.append(peak)
         sizes.append((lg.wedge_count, exact.meta["triples"]))
     assert sizes[1][0] > 5 * sizes[0][0] and sizes[1][1] > 5 * sizes[0][1]
     assert max(peaks) < PEAK_PER_CHUNK_TRIPLE * counting.CHUNK
     assert peaks[1] < 1.5 * peaks[0]
+
+
+# Bytes per incidence that load_hypergraph or one null-model replicate may
+# hold at its peak, its result included.
+PEAK_PER_INCIDENCE = 80
+
+
+def sparse_lines(edges: int, labels: int, seed: int) -> list[str]:
+    """Edge-list lines shaped like perfbench's sparse-cp input: hyperedges
+    of 2 to 5 members drawn from `labels` labels, about 0.8 distinct labels
+    per incidence."""
+    rng = random.Random(seed)
+    pool = range(labels)
+    return [
+        " ".join(map(str, sorted(rng.sample(pool, rng.randint(2, 5))))) + "\n"
+        for _ in range(edges)
+    ]
+
+
+def test_ingest_peak_memory_is_linear_in_the_incidences():
+    """The tracemalloc peaks of parsing an input and of building one Chung-Lu
+    replicate of it stay under PEAK_PER_INCIDENCE bytes per incidence, on
+    inputs of about 31,500 and 315,000 incidences, and grow in proportion to
+    the incidences (within 10%). The input lines and the hypergraph a
+    replicate is drawn from exist before the measurement."""
+    per_incidence = {"load": [], "replicate": []}
+    for edges, labels in ((9_000, 60_000), (90_000, 600_000)):
+        lines = sparse_lines(edges, labels, 11)
+        h, peak = traced_peak(load_hypergraph, lines)
+        incidences = h.total_incidences()
+        per_incidence["load"].append(peak / incidences)
+        per_incidence["replicate"].append(traced_peak(_replicate, h, 1, 0)[1] / incidences)
+    for name, (small, large) in per_incidence.items():
+        assert max(small, large) <= PEAK_PER_INCIDENCE, (name, small, large)
+        assert 0.9 < large / small < 1.1, (name, small, large)
 
 
 def hub_heavy_graph(edges: int, labels: int, seed: int):
