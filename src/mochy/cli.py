@@ -1,7 +1,8 @@
 """Command-line front end: load -> line graph -> count/profile pipelines.
 
-Every run emits a manifest (flags, seed, elapsed time, output checksums)
-sufficient to reproduce its outputs bit-for-bit. Counts and profiles are
+COMMANDS lists the commands and the options each one takes, which are
+only those its runs read. Every run emits a manifest (flags, seed, elapsed
+time, output checksums) sufficient to reproduce its outputs bit-for-bit. Counts and profiles are
 written as CSV by default or JSON with --json; integers are written exactly
 and floats carry 17 significant digits.
 """
@@ -98,12 +99,7 @@ def _run(args) -> int:
             "input": source,
             "input_sha256": digest,
             "input_bytes": size,
-            "algorithm": getattr(args, "algo", None),
-            "workers": getattr(args, "threads", 1),
-            "seed": getattr(args, "seed", 0),
-            **dict.fromkeys(("samples", "budget", "motifs", "variant", "theta", "p")),
-            **_mode_fields(args),
-            "replicates": getattr(args, "replicates", None),
+            **_option_fields(args),
             "elapsed_seconds": time.perf_counter() - start,
             "outputs": {path: _sha256(temp) for path, temp in staged.items()},
             "version": __version__,
@@ -167,30 +163,37 @@ def _write_file(path: str, write) -> None:
     out.close()
 
 
-def _mode_fields(args) -> dict:
-    """The options among samples, budget, motifs, variant, theta and p that
-    the run reads, with their values: samples for a sampling algorithm,
-    budget for otf-*, motifs for a command with a motif mode, variant for
-    ternary motifs, theta for abs and p for mr and hr-*. The manifest
-    records the others as None."""
-    algo = getattr(args, "algo", "exact")
-    motifs = getattr(args, "motifs", None)
-    variant = args.variant if motifs == "ternary" else None
+# The manifest field of each option whose name differs from its attribute
+_FIELD_ATTRS = {"algorithm": "algo", "workers": "threads"}
+
+
+def _option_fields(args) -> dict:
+    """The manifest's ten option fields. Each holds its option's value where
+    the command has the option and the run reads it, and None otherwise:
+    seed for a sampling algorithm or the null model's replicates (cp,
+    randomize), samples for a sampling algorithm, budget for otf-*, variant
+    for ternary motifs, theta for abs and p for mr and hr-*."""
+    algo = getattr(args, "algo", None)
+    variant = args.variant if getattr(args, "motifs", None) == "ternary" else None
     read = {
+        **dict.fromkeys(("algorithm", "workers", "replicates", "motifs"), True),
+        "seed": algo != "exact" or hasattr(args, "replicates"),
         "samples": algo != "exact",
-        "budget": algo.startswith("otf-"),
-        "motifs": motifs is not None,
+        "budget": str(algo).startswith("otf-"),
         "variant": variant is not None,
         "theta": variant == "abs",
         "p": variant not in (None, "abs"),
     }
-    return {name: getattr(args, name) for name, on in read.items() if on}
+    return {
+        name: getattr(args, _FIELD_ATTRS.get(name, name), None) if on else None
+        for name, on in read.items()
+    }
 
 
 def _mode_from_args(args) -> MotifMode:
-    fields = _mode_fields(args)
-    kind, _, sigma = fields.get("variant", "binary").partition("-")
-    options = {name: fields[name] for name in ("theta", "p") if name in fields}
+    fields = _option_fields(args)
+    kind, _, sigma = (fields["variant"] or "binary").partition("-")
+    options = {name: fields[name] for name in ("theta", "p") if fields[name] is not None}
     return MotifMode(kind, sigma=sigma or "mean", **options)
 
 
@@ -258,21 +261,11 @@ def cmd_cp(args, h):
     def replicate_counter(h_rand, rng):
         return _run_counter(args, h_rand, mode, rng.randrange(1 << 62))
 
-    null_mean, _ = null_counts(
-        h,
-        replicate_counter,
-        NullModelConfig(replicates=args.replicates, seed=args.seed),
-        workers=args.threads,
-    )
+    config = NullModelConfig(replicates=args.replicates, seed=args.seed)
+    null_mean, _ = null_counts(h, replicate_counter, config, workers=args.threads)
     sig = significance(counts, null_mean, epsilon=args.epsilon)
-    cp = characteristic_profile(sig)
-    rows = _motif_rows(
-        mode.catalog(),
-        count=counts.counts,
-        null_count=null_mean.counts,
-        delta=sig.delta,
-        cp=cp.cp,
-    )
+    rows = _motif_rows(mode.catalog(), count=counts.counts, null_count=null_mean.counts,
+                       delta=sig.delta, cp=characteristic_profile(sig).cp)
     return (lambda out: _write_rows(out, args.json, rows, {"meta": counts.meta}, "profile")), []
 
 
@@ -324,26 +317,18 @@ def cmd_profile_node(args, h):
 def cmd_profile_edge(args, h):
     from .profiles import hyperedge_profile
 
-    mode = _mode_from_args(args)
-    lg = build_line_graph(h, workers=args.threads)
-    return _counts_writer(args, hyperedge_profile(h, lg, args.edge, mode)), []
+    cv = hyperedge_profile(h, build_line_graph(h), args.edge, _mode_from_args(args))
+    return _counts_writer(args, cv), []
 
 
 def cmd_recommend_samples(args, _):
-    n = recommend_samples(
-        epsilon=args.epsilon,
-        delta=args.delta,
-        d_max=args.d_max,
-        count=args.count,
-        population=args.population,
-        estimator=args.estimator,
-        is_open=args.open,
-    )
+    names = ("epsilon", "delta", "d_max", "count", "population", "estimator")
+    n = recommend_samples(**{name: getattr(args, name) for name in names}, is_open=args.open)
     return (lambda out: out.write(f"{n}\n")), []
 
 
 def cmd_stats(args, h):
-    lg = build_line_graph(h, workers=args.threads)
+    lg = build_line_graph(h)
     stats = {
         "num_nodes": h.num_nodes,
         "num_edges": h.num_edges,
@@ -376,22 +361,75 @@ def cmd_convert(args, _):
     return (lambda out: out.writelines(" ".join(map(str, e)) + "\n" for e in edges)), []
 
 
-def _add_common(p, with_mode=True, with_json=True):
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
-    p.add_argument("--out", default="-", help="output path ('-' = stdout)")
-    if with_json:
-        p.add_argument("--json", action="store_true", help="JSON instead of CSV")
-    p.add_argument("--threads", type=int, default=1, help="worker count, recorded only")
-    if with_mode:
-        p.add_argument("--motifs", choices=("binary", "ternary"), default="binary")
-        p.add_argument("--theta", type=int, default=1, help="ternary cardinality threshold")
-        p.add_argument(
-            "--variant",
-            choices=("abs", "mr", "hr-mean", "hr-max", "hr-min"),
-            default="abs",
-            help="ternary state map",
-        )
-        p.add_argument("--p", type=float, default=0.5, help="ratio threshold for mr/hr")
+def _option(*flags, **settings):
+    return flags, settings
+
+
+# Option groups that several commands share
+_OUT = [_option("--out", default="-", help="output path ('-' = stdout)")]
+_JSON = [_option("--json", action="store_true", help="JSON instead of CSV")]
+_SEED = [_option("--seed", type=int, default=0, help="RNG seed (u64)")]
+_THREADS = [_option("--threads", type=int, default=1, help="worker count, recorded only")]
+_REPLICATES = [_option("--replicates", type=int, default=5)]
+_MODE = [
+    _option("--motifs", choices=("binary", "ternary"), default="binary"),
+    _option("--theta", type=int, default=1, help="ternary cardinality threshold"),
+    _option("--variant", choices=("abs", "mr", "hr-mean", "hr-max", "hr-min"),
+            default="abs", help="ternary state map"),
+    _option("--p", type=float, default=0.5, help="ratio threshold for mr/hr"),
+]
+_COUNTER = [
+    _option("--algo", choices=ALGORITHMS, default="exact"),
+    _option("-s", "-r", "--samples", dest="samples", type=int, default=None),
+    _option("--budget", type=float, default=1.0,
+            help="on-the-fly memo budget as fraction of full line-graph entries"),
+]
+
+# name -> (handler, help, whether it reads an input file, its options)
+COMMANDS = {
+    "count": (cmd_count, "count motif instances", True,
+              [*_COUNTER, *_SEED, *_OUT, *_JSON, *_THREADS, *_MODE]),
+    "cp": (cmd_cp, "significances and characteristic profile", True, [
+        *_COUNTER, *_REPLICATES, _option("--epsilon", type=float, default=1.0),
+        *_SEED, *_OUT, *_JSON, *_THREADS, *_MODE,
+    ]),
+    "enumerate": (cmd_enumerate, "list every motif instance (CSV only)", True,
+                  [*_OUT, *_THREADS, *_MODE]),
+    "randomize": (cmd_randomize, "write Chung-Lu randomized replicates", True, [
+        *_REPLICATES, *_SEED, _option("--out", required=True, help="output path prefix"),
+    ]),
+    "catalog": (cmd_catalog, "dump a motif catalog", False, [
+        _option("--arity", type=int, default=3), _option("--states", type=int, default=2),
+        *_OUT, *_JSON,
+    ]),
+    "profile-node": (cmd_profile_node, "motif counts in a node's ego-network", True, [
+        _option("--node", type=int, required=True, help="original node label"),
+        _option("--kind", choices=("star", "radial", "contracted"), default="radial"),
+        *_OUT, *_JSON, *_MODE,
+    ]),
+    "profile-edge": (cmd_profile_edge, "motif counts containing a hyperedge", True, [
+        _option("--edge", type=int, required=True, help="hyperedge index"),
+        *_OUT, *_JSON, *_MODE,
+    ]),
+    "recommend-samples": (cmd_recommend_samples, "concentration-bound sample size", False, [
+        _option("--estimator", choices=("edge", "wedge"), required=True),
+        _option("--open", action="store_true", help="motif is open"),
+        _option("--epsilon", type=float, required=True),
+        _option("--delta", type=float, required=True),
+        _option("--d-max", dest="d_max", type=int, required=True),
+        _option("--count", type=float, required=True),
+        _option("--population", type=int, required=True,
+                help="|E| for the edge estimator, wedge count for the wedge one"),
+        *_OUT,
+    ]),
+    "stats": (cmd_stats, "basic hypergraph and line-graph statistics", True, [
+        _option("--linegraph-out", default=None, help="also dump line-graph CSV"),
+        *_OUT, *_JSON,
+    ]),
+    "convert": (cmd_convert, "convert the two-file public layout to an edge list", False, [
+        _option("--nverts", required=True), _option("--simplices", required=True), *_OUT,
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,87 +438,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hypergraph motif counting, profiles, and null models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="count motif instances")
-    p.add_argument("input")
-    p.add_argument("--algo", choices=ALGORITHMS, default="exact")
-    p.add_argument("-s", "-r", "--samples", dest="samples", type=int, default=None)
-    p.add_argument("--budget", type=float, default=1.0,
-                   help="on-the-fly memo budget as fraction of full line-graph entries")
-    _add_common(p)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("cp", help="significances and characteristic profile")
-    p.add_argument("input")
-    p.add_argument("--algo", choices=ALGORITHMS, default="exact")
-    p.add_argument("-s", "-r", "--samples", dest="samples", type=int, default=None)
-    p.add_argument("--budget", type=float, default=1.0)
-    p.add_argument("--replicates", type=int, default=5)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_cp)
-
-    p = sub.add_parser("enumerate", help="list every motif instance (CSV only)")
-    p.add_argument("input")
-    _add_common(p, with_json=False)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("randomize", help="write Chung-Lu randomized replicates")
-    p.add_argument("input")
-    p.add_argument("--replicates", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output path prefix")
-    p.set_defaults(func=cmd_randomize)
-
-    p = sub.add_parser("catalog", help="dump a motif catalog")
-    p.add_argument("--arity", type=int, default=3)
-    p.add_argument("--states", type=int, default=2)
-    p.add_argument("--out", default="-")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser("profile-node", help="motif counts in a node's ego-network")
-    p.add_argument("input")
-    p.add_argument("--node", type=int, required=True, help="original node label")
-    p.add_argument("--kind", choices=("star", "radial", "contracted"), default="radial")
-    _add_common(p)
-    p.set_defaults(func=cmd_profile_node)
-
-    p = sub.add_parser("profile-edge", help="motif counts containing a hyperedge")
-    p.add_argument("input")
-    p.add_argument("--edge", type=int, required=True, help="hyperedge index")
-    _add_common(p)
-    p.set_defaults(func=cmd_profile_edge)
-
-    p = sub.add_parser("recommend-samples", help="concentration-bound sample size")
-    p.add_argument("--estimator", choices=("edge", "wedge"), required=True)
-    p.add_argument("--open", action="store_true", help="motif is open")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--d-max", dest="d_max", type=int, required=True)
-    p.add_argument("--count", type=float, required=True)
-    p.add_argument("--population", type=int, required=True,
-                   help="|E| for the edge estimator, wedge count for the wedge one")
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_recommend_samples)
-
-    p = sub.add_parser("stats", help="basic hypergraph and line-graph statistics")
-    p.add_argument("input")
-    p.add_argument("--linegraph-out", default=None, help="also dump line-graph CSV")
-    _add_common(p, with_mode=False)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("convert", help="convert the two-file public layout to an edge list")
-    p.add_argument("--nverts", required=True)
-    p.add_argument("--simplices", required=True)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_convert)
-
+    for name, (handler, help_text, reads_input, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if reads_input:
+            p.add_argument("input")
+        for flags, settings in options:
+            p.add_argument(*flags, **settings)
+        p.set_defaults(func=handler)
     return parser
 
 
 def _validate(parser, args) -> None:
-    if "samples" in _mode_fields(args):
+    if getattr(args, "algo", "exact") != "exact":
         # numpy sizes the draw arrays with a C ssize_t
         if args.samples is None or not 1 <= args.samples < 1 << 63:
             parser.error("sampling algorithms need 1 <= --samples < 2**63 (-s/-r)")
@@ -490,14 +459,11 @@ def _validate(parser, args) -> None:
             parser.error(f"--{name} must be finite")
     if args.command == "cp" and args.epsilon <= 0:
         parser.error("--epsilon must be positive")
-    if getattr(args, "budget", None) is not None and args.budget < 0:
-        parser.error("--budget must be non-negative")
-    if getattr(args, "replicates", None) is not None and args.replicates < 1:
-        parser.error("--replicates must be >= 1")
-    if getattr(args, "theta", 1) < 1:
-        parser.error("--theta must be >= 1")
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
+    for name, low in (("budget", 0), ("replicates", 1), ("theta", 1), ("threads", 1)):
+        if getattr(args, name, low) < low:
+            parser.error(f"--{name} must be >= {low}")
+    if args.command == "randomize" and args.out == "-":
+        parser.error("randomize's --out is a file-name prefix, not '-'")
     # random.Random seeds on abs(), so a negative seed would repeat a positive one
     if hasattr(args, "seed") and not 0 <= args.seed < 1 << 64:
         parser.error("--seed must be in [0, 2**64)")
@@ -516,11 +482,13 @@ def main(argv=None) -> int:
             warnings.showwarning = _warn
             return _run(args)
     except EnumerationAborted as exc:
-        print(f"mochy: error: {exc}: {exc.__cause__}", file=sys.stderr)
-        return 1
+        message = f"{exc}: {exc.__cause__}"
+    except MemoryError as exc:
+        message = f"out of memory: {exc}"
     except (OSError, ParseError, EmptyInputError, ValueError, IndexError) as exc:
-        print(f"mochy: error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    print(f"mochy: error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

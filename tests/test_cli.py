@@ -4,6 +4,7 @@ import argparse
 import csv
 import errno
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -31,7 +32,7 @@ from mochy import (
     load_hypergraph_path,
     null_counts,
 )
-from mochy.cli import _write_rows, build_parser, main
+from mochy.cli import _validate, _write_rows, build_parser, main
 
 from conftest import random_hypergraph
 
@@ -437,18 +438,22 @@ def _argv(command, tmp_path, text):
     return [a.format(**paths) for a in argv], [f.format(**paths) for f in extra]
 
 
-# The manifest's mode fields per run of RUNS: None where the command has no
-# such option or the motif mode does not read it.
+# The manifest's ten option fields per run of RUNS: None where the command
+# has no such option or the run does not read it. The seed is read by a
+# sampling algorithm and by the null model's replicates (cp, randomize).
 BINARY_FIELDS = {"motifs": "binary", "variant": None, "theta": None, "p": None}
-NO_FIELDS = dict.fromkeys(BINARY_FIELDS)
-MODE_FIELDS = {
-    "count": BINARY_FIELDS,
-    "cp": BINARY_FIELDS,
-    "enumerate": BINARY_FIELDS,
-    "randomize": NO_FIELDS,
+NO_FIELDS = dict.fromkeys([
+    "algorithm", "workers", "seed", "replicates", "samples", "budget", *BINARY_FIELDS,
+])
+MODE_FIELDS = {**NO_FIELDS, **BINARY_FIELDS}
+OPTION_FIELDS = {
+    "count": {**MODE_FIELDS, "algorithm": "exact", "workers": 1},
+    "cp": {**MODE_FIELDS, "algorithm": "exact", "workers": 1, "seed": 0, "replicates": 1},
+    "enumerate": {**MODE_FIELDS, "workers": 1},
+    "randomize": {**NO_FIELDS, "seed": 0, "replicates": 2},
     "catalog": NO_FIELDS,
-    "profile-node": BINARY_FIELDS,
-    "profile-edge": BINARY_FIELDS,
+    "profile-node": MODE_FIELDS,
+    "profile-edge": MODE_FIELDS,
     "recommend-samples": NO_FIELDS,
     "stats": NO_FIELDS,
     "convert": NO_FIELDS,
@@ -477,7 +482,7 @@ class TestManifest:
         assert main(argv) == 0
         anchor = extra[0] if command == "randomize" else argv[argv.index("--out") + 1]
         manifest = json.loads(Path(anchor + ".manifest.json").read_text())
-        assert {key: manifest[key] for key in BINARY_FIELDS} == MODE_FIELDS[command]
+        assert {key: manifest[key] for key in NO_FIELDS} == OPTION_FIELDS[command]
 
     @pytest.mark.parametrize("flags, fields", [
         (["--variant", "mr", "--p", "0.3", "--theta", "2"], BINARY_FIELDS),
@@ -492,6 +497,10 @@ class TestManifest:
         (["--algo", "wedge-sample", "-r", "5", "--budget", "0.3"],
          {"samples": 5, "budget": None}),
         (["--algo", "otf-basic", "-r", "5", "--budget", "0.3"], {"samples": 5, "budget": 0.3}),
+        # the seed only for a sampling algorithm
+        (["--algo", "exact", "--seed", "9"], {"algorithm": "exact", "seed": None}),
+        (["--algo", "wedge-sample", "-r", "5", "--seed", "9", "--threads", "2"],
+         {"algorithm": "wedge-sample", "seed": 9, "workers": 2}),
     ])
     def test_mode_fields_follow_the_motif_mode(self, flags, fields, tmp_path):
         argv, _ = _argv("count", tmp_path, CHAIN)
@@ -508,7 +517,7 @@ class TestManifest:
         written = extra if command == "randomize" else [out, *extra]
         manifest = json.loads(Path(written[0] + ".manifest.json").read_text())
         assert manifest["command"] == command
-        assert manifest["workers"] == 1  # no --threads given
+        assert manifest["workers"] == OPTION_FIELDS[command]["workers"]
         assert manifest["elapsed_seconds"] > 0
         assert set(manifest["outputs"]) == set(written)
         for path in written:
@@ -541,6 +550,84 @@ class TestManifest:
         before = snapshot()
         assert main(_argv(command, tmp_path, "1 2\n3 x\n")[0]) == 1
         assert snapshot() == before
+
+
+class TestOptionsNoRunReads:
+    @pytest.mark.parametrize("command, option", [
+        ("enumerate", "--seed"), ("stats", "--seed"), ("profile-node", "--seed"),
+        ("profile-edge", "--seed"), ("stats", "--threads"), ("profile-node", "--threads"),
+        ("profile-edge", "--threads"),
+    ])
+    def test_are_usage_errors(self, command, option, tmp_path):
+        argv, _ = _argv(command, tmp_path, CHAIN)
+        with pytest.raises(SystemExit) as info:
+            main([*argv, option, "2"])
+        assert info.value.code == 2
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_randomize_prefix_dash_is_usage_error(self, chain_file, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.chdir(tmp_path)
+        before = _listing(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["randomize", chain_file, "--out", "-"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "mochy: error: randomize's --out is a file-name prefix, not '-'"
+        assert _listing(tmp_path) == before
+
+
+PERFBENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+class TestBenchmarkCommands:
+    """Every command line the benchmark runs parses and passes validation, so
+    a CLI change that drops an option the benchmark passes fails here."""
+
+    def test_every_workload_command_parses(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location("workloads", PERFBENCH_WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+        spec.loader.exec_module(workloads)
+        parser = build_parser()
+        for workload in workloads.SAMPLES:
+            for command in workloads.ARGS:
+                argv = [*workloads.command_args(workload, command, str(tmp_path / "in.txt")),
+                        "--out", str(tmp_path / "out.csv")]
+                try:
+                    _validate(parser, parser.parse_args(argv))
+                except SystemExit:
+                    pytest.fail(f"mochy {' '.join(argv)} is a usage error")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+class TestOutOfMemory:
+    @pytest.mark.parametrize("algo", ["wedge-sample", "otf-advanced"])
+    def test_is_one_line_error(self, algo, tmp_path):
+        src = tmp_path / "four.txt"
+        src.write_text("1 2 3\n2 3 4\n3 4 5\n4 5 6\n")
+        out = tmp_path / "counts.csv"
+        # The child caps its own address space at 1 GiB, so the per-draw
+        # arrays of 10**11 samples cannot be allocated; no other process is
+        # limited.
+        code = (
+            "import resource, sys; "
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+            "soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard); "
+            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard)); "
+            "from mochy.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, "count", str(src), "--algo", algo,
+             "-r", str(10**11), "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert done.returncode == 1, done.stderr
+        err = done.stderr.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("mochy: error: out of memory: ")
+        assert not out.exists()
 
 
 # 150 random 4-node hyperedges over 60 nodes: thousands of instances, far
