@@ -140,26 +140,19 @@ class MotifCatalog:
 
     def id_of(self, pattern: Sequence[int]) -> int:
         """Catalog id of an arbitrary (not necessarily canonical) pattern."""
-        canon = canonicalize(pattern, self.arity)
-        try:
-            return self._index[canon] + 1
-        except KeyError:
-            raise ValueError(f"pattern {tuple(pattern)} is not a valid motif") from None
+        p = np.asarray(pattern)
+        in_range = p.dtype.kind in "biu" and ((0 <= p) & (p < self.states)).all()
+        if p.shape == ((1 << self.arity) - 1,) and in_range:
+            if motif := self.packed_id_table[p @ _digit_weights(self.arity, self.states)]:
+                return int(motif)
+        raise ValueError(f"pattern {tuple(pattern)} is not a valid motif")
 
     def is_open(self, motif_id: int) -> bool:
         return self.open_flags[motif_id - 1]
 
     @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        """Canonical vector -> 0-based position."""
-        return {p: i for i, p in enumerate(self.patterns)}
-
-    @cached_property
     def packed_id_table(self) -> np.ndarray:
-        """Raw-pattern lookup: packed base-`states` key -> id (0 = invalid).
-
-        Only sensible for arity 3, where counting engines classify triples.
-        """
+        """Raw-pattern lookup: packed base-`states` key -> id (0 = invalid)."""
         canon = _canonical_keys(self.arity, self.states)
         ids = np.zeros(len(canon), dtype=np.int64)
         ids[np.array(self.patterns) @ _digit_weights(self.arity, self.states)] = self.ids
@@ -220,12 +213,9 @@ def count_state_motifs(states: int) -> int:
 def ternary_refinement_map() -> dict[int, int]:
     """Ternary motif id -> binary motif id obtained by collapsing states
     {1, 2} to "non-empty"."""
-    binary = enumerate_catalog(3, 2)
-    ternary = enumerate_catalog(3, 3)
-    return {
-        tid: binary.id_of(tuple(1 if s else 0 for s in pattern))
-        for tid, pattern in zip(ternary.ids, ternary.patterns)
-    }
+    binary, ternary = enumerate_catalog(3, 2), enumerate_catalog(3, 3)
+    collapsed = (np.array(ternary.patterns) > 0) @ _digit_weights(3, 2)
+    return dict(zip(ternary.ids, binary.packed_id_table[collapsed].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -444,11 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("input")
         for flags, settings in options:
             p.add_argument(*flags, **settings)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, parser=p)
     return parser
 
 
-def _validate(parser, args) -> None:
+def _validate(args) -> None:
+    """Range checks argparse does not make, as usage errors of the command."""
+    parser = args.parser
     if getattr(args, "algo", "exact") != "exact":
         # numpy sizes the draw arrays with a C ssize_t
         if args.samples is None or not 1 <= args.samples < 1 << 63:
@@ -474,9 +476,10 @@ def _warn(message, *_) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate(parser, args)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    _validate(args)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _warn

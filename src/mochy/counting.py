@@ -516,7 +516,7 @@ def _second_endpoints(store, degrees, i, pos, variant: str):
     ids = i[by_lookup[bounds[:-1]]]
     j, w_ij = np.empty(len(i), np.int32), np.empty(len(i), np.int32)
     for block in blocks(degrees[ids], CHUNK):
-        _, nbr, wt = store.rows([store.get(e, (e,)) for e in ids[block].tolist()])
+        _, nbr, wt = store.rows([store.get(e) for e in ids[block].tolist()])
         start = np.cumsum(degrees[ids[block]]) - degrees[ids[block]]
         d = by_lookup[bounds[block.start] : bounds[block.stop]]
         at = start[lookup[d] - block.start] + pos[d]
@@ -547,9 +547,8 @@ def _store_triples(store, degrees, i, j, w_ij, evict_after) -> Iterator[Triples]
         bi, bj = i[block], j[block]
         slots_i, slots_j = [], []
         for x, y, key in zip(bi.tolist(), bj.tolist(), evict_after[block].tolist()):
-            pinned = (x, y)
-            slots_i.append(get(x, pinned))
-            slots_j.append(get(y, pinned))
+            slots_i.append(get(x, y))  # each lookup keeps the wedge's other row
+            slots_j.append(get(y, x))
             if key >= 0:
                 evict(key)
         owner, nbr, wt = store.rows(slots_i + slots_j)

@@ -211,9 +211,9 @@ def build_line_graph(h: Hypergraph, workers: int = 1) -> LineGraph:
 def dump_line_graph(lg: LineGraph, out) -> None:
     """CSV rows "i,j,weight" with i < j, formatted DUMP_BLOCK rows at a time."""
     out.write("i,j,weight\n")
-    rows, cols = np.divmod(lg.keys, lg.num_edges)
-    upper = rows < cols
-    i, j, w = rows[upper], cols[upper], lg.weights[upper]
+    rows = np.repeat(np.arange(lg.num_edges, dtype=np.int32), np.diff(lg.indptr))
+    upper = rows < lg.indices
+    i, j, w = rows[upper], lg.indices[upper], lg.weights[upper]
     for lo in range(0, len(i), DUMP_BLOCK):
         part = slice(lo, lo + DUMP_BLOCK)
         out.write(csv_rows(i[part], j[part], w[part]))
@@ -224,9 +224,10 @@ class MemoizedNeighborStore:
 
     The sum of line-graph degrees of memoized hyperedges never exceeds the
     budget. When space is needed, memoized hyperedges are evicted in
-    ascending (degree, index) order, skipping pinned indices. A hyperedge
-    whose degree exceeds what the budget can ever hold is computed but not
-    stored.
+    ascending (degree, index) order, skipping the one hyperedge the lookup
+    pins: its wedge partner, if any. A row that cannot fit even then is
+    computed but not stored, after every unpinned row has been evicted (and
+    counted in evictions).
 
     get(i) decides a lookup on integers alone (the memoized ids, the free
     capacity and a heap) and returns a slot, a handle to i's row; rows(slots)
@@ -251,29 +252,10 @@ class MemoizedNeighborStore:
         self._ptr = np.zeros(1, dtype=np.int64)
         self._nbr = self._wt = np.zeros(0, dtype=np.int32)
 
-    def _evict_one(self, pinned) -> bool:
-        parked = []
-        evicted = False
-        while self._heap:
-            d, m = heapq.heappop(self._heap)
-            if m not in self.store:
-                continue  # stale entry
-            if m in pinned:
-                parked.append((d, m))
-                continue
-            del self.store[m]
-            self.cap += d
-            self.evictions += 1
-            evicted = True
-            break
-        for item in parked:
-            heapq.heappush(self._heap, item)
-        return evicted
-
-    def get(self, i: int, pinned=()) -> int:
+    def get(self, i: int, pinned: int = -1) -> int:
         """Slot of hyperedge i's row, memoizing the row if the budget allows;
-        `pinned` holds hyperedges this lookup must not evict. The slot is
-        valid until the next rows() call."""
+        this lookup must not evict hyperedge `pinned`. The slot is valid
+        until the next rows() call."""
         slot = self.store.get(i)
         if slot is not None:
             self.hits += 1
@@ -281,13 +263,21 @@ class MemoizedNeighborStore:
         slot = len(self._ptr) - 1 + len(self._pending)
         self._pending.append(i)
         self.recomputations += 1
-        d = self.degrees[i]
-        while self.cap < d:
-            if not self._evict_one(pinned):
-                return slot  # cannot fit: serve without memoizing
+        d, heap, parked = self.degrees[i], self._heap, None
+        while self.cap < d and heap:
+            dm, m = heapq.heappop(heap)
+            if m == pinned:
+                parked = (dm, m)
+            elif self.store.pop(m, None) is not None:  # else a stale entry
+                self.cap += dm
+                self.evictions += 1
+        if parked:
+            heapq.heappush(heap, parked)
+        if self.cap < d:
+            return slot  # cannot fit: serve without memoizing
         self.store[i] = slot
         self.cap -= d
-        heapq.heappush(self._heap, (d, i))
+        heapq.heappush(heap, (d, i))
         return slot
 
     def rows(self, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

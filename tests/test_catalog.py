@@ -92,6 +92,14 @@ class TestEnumerate:
         assert list(cat.patterns) == sorted(cat.patterns)
         assert cat.id_of(cat.patterns[4]) == 5
 
+    @pytest.mark.parametrize("pattern", [
+        (0, 0, 0, 1, 1, 0, 2), (0, 0, 0, 1, 1, 0, -1), (1, 1, 0), (0, 0, 0, 1, 1, 0, 0, 0),
+        (0, 0, 0, 1.5, 1, 0, 0), (0, 0, 0, 1.0, 1, 0, 0), ("0",) * 7, (),
+    ])
+    def test_id_of_rejects_what_is_not_a_binary_pattern(self, pattern):
+        with pytest.raises(ValueError, match="not a valid motif"):
+            enumerate_catalog(3, 2).id_of(pattern)
+
     def test_unsupported_combination(self):
         with pytest.raises(ValueError):
             enumerate_catalog(5, 2)
@@ -110,9 +118,11 @@ class TestEnumerate:
             if is_valid_pattern(raw, arity):
                 canon = canonicalize(raw, arity)
                 canonical.add(canon)
-                assert cat.packed_id_table[key] == ids[canon]
+                assert cat.packed_id_table[key] == cat.id_of(raw) == ids[canon]
             else:
                 assert cat.packed_id_table[key] == 0
+                with pytest.raises(ValueError):
+                    cat.id_of(raw)
         assert cat.patterns == tuple(sorted(canonical))
         subsets = region_subsets(arity)
         assert cat.open_flags == tuple(

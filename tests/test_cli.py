@@ -389,7 +389,8 @@ class TestOutOfRangeInputs:
             assert main(argv) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert [line for line in err if "error" in line] == err[-1:]
-        assert err[-1].startswith("mochy: error: ")
+        # a usage error is the command's, a runtime error the program's
+        assert err[-1].startswith(f"mochy {argv[0]}: error: " if code == 2 else "mochy: error: ")
         assert not any("Traceback" in line for line in err)
 
 
@@ -573,31 +574,61 @@ class TestOptionsNoRunReads:
             main(["randomize", chain_file, "--out", "-"])
         assert info.value.code == 2
         err = capsys.readouterr().err.splitlines()
-        assert err[-1] == "mochy: error: randomize's --out is a file-name prefix, not '-'"
+        assert err[-1] == "mochy randomize: error: randomize's --out is a file-name prefix, not '-'"
         assert _listing(tmp_path) == before
 
+    @pytest.mark.parametrize("command, option, error", [
+        ("count", ["--theta", "0"], "--theta must be >= 1"),
+        ("stats", ["--threads", "2"], "unrecognized arguments: --threads 2"),
+    ])
+    def test_usage_error_is_the_commands(self, command, option, error, chain_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, chain_file, *option])
+        assert info.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: mochy {command} ")
+        assert err[-1] == f"mochy {command}: error: {error}"
 
-PERFBENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name, monkeypatch):
+    """perfbench/<name>.py, loaded without writing bytecode beside it; its
+    sibling modules import from perfbench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestBenchmarkCommands:
-    """Every command line the benchmark runs parses and passes validation, so
-    a CLI change that drops an option the benchmark passes fails here."""
+    """Every command line the benchmark runs parses and passes validation,
+    and its traced run calls the library as it is, so a change that drops an
+    option or changes a signature the benchmark uses fails here."""
 
     def test_every_workload_command_parses(self, tmp_path, monkeypatch):
-        spec = importlib.util.spec_from_file_location("workloads", PERFBENCH_WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
-        spec.loader.exec_module(workloads)
+        workloads = _perfbench_module("workloads", monkeypatch)
         parser = build_parser()
         for workload in workloads.SAMPLES:
             for command in workloads.ARGS:
                 argv = [*workloads.command_args(workload, command, str(tmp_path / "in.txt")),
                         "--out", str(tmp_path / "out.csv")]
                 try:
-                    _validate(parser, parser.parse_args(argv))
+                    _validate(parser.parse_args(argv))
                 except SystemExit:
                     pytest.fail(f"mochy {' '.join(argv)} is a usage error")
+
+    def test_traced_run_reads_every_layer(self, tmp_path, monkeypatch):
+        # tracing wraps MemoizedNeighborStore.get and passes its pin positionally
+        tracing = _perfbench_module("tracing", monkeypatch)
+        path = tmp_path / "in.txt"
+        path.write_bytes(tracing.workloads.generate("heavytail", 1))
+        metrics = tracing.layer_metrics(tracing.traced_run("heavytail", 1, path))
+        assert all(math.isfinite(value) for value, _ in metrics.values())
+        assert metrics["linegraph.store_gets"][0] > 0
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")

@@ -115,6 +115,11 @@ class TestBuild:
         assert lines[0] == "i,j,weight"
         assert "0,1,2" in lines and "1,2,2" in lines and "0,2,1" in lines
 
+    def test_dump_caches_no_pair_keys(self, chain3):
+        lg = build_line_graph(chain3)
+        dump_line_graph(lg, io.StringIO())
+        assert "keys" not in lg.__dict__  # rows come from indptr, columns from indices
+
 
 def fstring_rows(*columns):
     """csv_rows' reference: one f-string per row."""
@@ -190,9 +195,9 @@ def csr_row(lg, i):
     return lg.indices[lo:hi].tolist(), lg.weights[lo:hi].tolist()
 
 
-def stored_row(store, i, pinned=()):
+def stored_row(store, i):
     """Hyperedge i's row served by one store lookup, as (neighbors, weights)."""
-    owner, nbr, weight = store.rows([store.get(i, pinned)])
+    owner, nbr, weight = store.rows([store.get(i)])
     assert not owner.any()
     return nbr.tolist(), weight.tolist()
 
@@ -243,7 +248,7 @@ class TestMemoStore:
         store = MemoizedNeighborStore(h, budget=2)
         store.get(0)
         store.get(2)  # store now holds e0 and e2 (1 entry each)
-        store.get(1, pinned=frozenset({0}))  # must not evict pinned e0
+        store.get(1, pinned=0)  # must not evict pinned e0
         assert 0 in store.store and 2 not in store.store
 
     def test_oversized_edge_served_without_memoizing(self):

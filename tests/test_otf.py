@@ -147,20 +147,27 @@ def hub_edge_lists(draw):
     return list(dict.fromkeys(edges))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     edges=hub_edge_lists(),
     r=st.integers(1, 40),
     seed=st.integers(0, 2**64 - 1),
-    share=st.sampled_from(["0", "1", "half", "full"]),
+    share=st.sampled_from(["0", "1", "half", "full", "working-1", "working", "working+1"]),
     variant=st.sampled_from(["basic", "advanced"]),
     chunk=st.integers(1, 9),
 )
 def test_count_otf_matches_the_oracle(edges, r, seed, share, variant, chunk):
     h = from_edge_sets(edges)
-    full = int(np.diff(build_line_graph(h).indptr).sum())
+    lg = build_line_graph(h)
+    degrees = np.diff(lg.indptr)
+    full = int(degrees.sum())
     assume(full > 0)
-    budget = {"0": 0, "1": 1, "half": full // 2, "full": full}[share]
+    # the working set: the rows of every hyperedge the draws look up, where
+    # the store starts or stops evicting
+    i, pos = _wedge_draws(seed, range(r), lg.indptr)
+    working = int(degrees[np.union1d(i, lg.indices[lg.indptr[i] + pos])].sum())
+    budget = {"0": 0, "1": 1, "half": full // 2, "full": full,
+              "working-1": working - 1, "working": working, "working+1": working + 1}[share]
     lanes = mock.patch.object(counting, "LANE_MIN", 1)  # draws through the seeding replay
     with mock.patch.object(counting, "CHUNK", chunk), lanes:
         cv = count_otf(h, r, budget, seed, variant)
