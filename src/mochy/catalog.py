@@ -238,26 +238,12 @@ def _regions(sizes, w_ab, w_bc, w_ca, c_abc) -> tuple:
     )
 
 
-def region_cardinalities(
-    a: frozenset | set,
-    b: frozenset | set,
-    c: frozenset | set,
-    w_ab: int | None = None,
-    w_bc: int | None = None,
-    w_ca: int | None = None,
-) -> tuple[int, int, int, int, int, int, int]:
+def region_cardinalities(a: frozenset | set, b: frozenset | set, c: frozenset | set) -> tuple:
     """Cardinalities of the seven intersection regions of three distinct
-    hyperedges, in catalog region order.
-
-    The remaining regions follow from the triple intersection and the
-    pairwise overlaps by inclusion-exclusion.
-    """
+    hyperedges, in catalog region order, by inclusion-exclusion."""
     if a == b or b == c or a == c:
         raise ValueError("hyperedges of a motif instance must be distinct")
-    w_ab = len(a & b) if w_ab is None else w_ab
-    w_bc = len(b & c) if w_bc is None else w_bc
-    w_ca = len(c & a) if w_ca is None else w_ca
-    return _regions((len(a), len(b), len(c)), w_ab, w_bc, w_ca, len(a & b & c))
+    return _regions((len(a), len(b), len(c)), len(a & b), len(b & c), len(c & a), len(a & b & c))
 
 
 @dataclass(frozen=True)
@@ -337,19 +323,13 @@ def classify_batch(mode: MotifMode, sizes, w_ab, w_bc, w_ca, c_abc) -> np.ndarra
     return mode.catalog().packed_id_table[key]
 
 
-def classify(
-    a: frozenset | set,
-    b: frozenset | set,
-    c: frozenset | set,
-    mode: MotifMode = BINARY,
-    w_ab: int | None = None,
-    w_bc: int | None = None,
-    w_ca: int | None = None,
-) -> int:
-    """Catalog id of the motif describing the connected triple (a, b, c)."""
-    cards = region_cardinalities(a, b, c, w_ab, w_bc, w_ca)
-    if sum(cards[r] + cards[6] > 0 for r in (3, 4, 5)) < 2:
-        raise ValueError("hyperedge triple is not connected")
-    sizes = [np.array([len(x)]) for x in (a, b, c)]
-    states = mode.region_states([np.array([card]) for card in cards], sizes)
-    return mode.catalog().id_of([int(state[0]) for state in states])
+def classify(a: frozenset | set, b: frozenset | set, c: frozenset | set,
+             mode: MotifMode = BINARY) -> int:
+    """Catalog id of the motif of the connected triple (a, b, c), by
+    classify_batch on this one triple; a disconnected one is a ValueError."""
+    region_cardinalities(a, b, c)  # rejects a repeated hyperedge
+    one = [np.array([len(x)]) for x in (a, b, c, a & b, b & c, c & a, a & b & c)]
+    with np.errstate(invalid="ignore"):  # hr: an empty set's regions are 0 / 0
+        if motif := int(classify_batch(mode, one[:3], *one[3:])[0]):
+            return motif
+    raise ValueError("hyperedge triple is not connected")

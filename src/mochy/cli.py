@@ -347,7 +347,7 @@ def cmd_stats(args, h):
             for key, value in stats.items():
                 out.write(f"{key},{value}\n")
 
-    if not args.linegraph_out:
+    if args.linegraph_out is None:
         return write, []
     return write, [(args.linegraph_out, lambda out: dump_line_graph(lg, out))]
 
@@ -451,6 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(args) -> None:
     """Range checks argparse does not make, as usage errors of the command."""
     parser = args.parser
+    for name in ("input", "out", "linegraph-out", "nverts", "simplices"):
+        if getattr(args, name.replace("-", "_"), None) == "":
+            parser.error(f"{'--' * (name != 'input')}{name} must not be an empty path")
     if getattr(args, "algo", "exact") != "exact":
         # numpy sizes the draw arrays with a C ssize_t
         if args.samples is None or not 1 <= args.samples < 1 << 63:

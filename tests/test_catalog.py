@@ -251,6 +251,29 @@ class TestClassify:
         with pytest.raises(ValueError, match="distinct"):
             classify(frozenset({1, 2}), frozenset({1, 2}), frozenset({2, 3}))
 
+    @pytest.mark.filterwarnings("error")  # hr divides by an empty set's size
+    def test_rejected_exactly_when_disconnected(self):
+        rng = random.Random(49)
+        modes = [(MotifMode("binary"), lambda card: 1 if card else 0)]
+        modes += [(MotifMode("abs", theta=t), oracle_ternary_state(t)) for t in (1, 2, 3)]
+        modes += [(MotifMode("hr", p=0.5), None)]
+        seen = set()
+        for _ in range(2000):
+            sets = set()
+            while len(sets) < 3:  # distinct, empty sets included
+                sets.add(frozenset(rng.sample(range(7), rng.randint(0, 4))))
+            a, b, c = sets
+            connected = oracle_connected(a, b, c)
+            seen.add((connected, frozenset() in sets))
+            for mode, state_of in modes:
+                if not connected:
+                    with pytest.raises(ValueError, match="not connected"):
+                        classify(a, b, c, mode)
+                elif state_of is not None:
+                    t = classify(a, b, c, mode)
+                    assert mode.catalog().patterns[t - 1] == oracle_pattern(a, b, c, state_of)
+        assert seen == {(True, False), (False, False), (False, True)}
+
     def test_exhaustive_and_unique_over_random_triples(self):
         rng = random.Random(33)
         cat = enumerate_catalog(3, 2)

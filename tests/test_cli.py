@@ -589,6 +589,26 @@ class TestOptionsNoRunReads:
         assert err[0].startswith(f"usage: mochy {command} ")
         assert err[-1] == f"mochy {command}: error: {error}"
 
+    @pytest.mark.parametrize("argv, option", [
+        (["count", ""], "input"),
+        (["count", "{in}", "--out", ""], "--out"),
+        (["stats", "{in}", "--linegraph-out", ""], "--linegraph-out"),
+        (["randomize", "{in}", "--out", ""], "--out"),
+    ])
+    def test_empty_path_is_usage_error(self, argv, option, chain_file, tmp_path, monkeypatch,
+                                       capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        before = sorted(os.listdir(tmp_path)), _listing(work)
+        with pytest.raises(SystemExit) as info:
+            main([a.format(**{"in": chain_file}) for a in argv])
+        assert info.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: mochy {argv[0]} ")
+        assert err[-1] == f"mochy {argv[0]}: error: {option} must not be an empty path"
+        assert (sorted(os.listdir(tmp_path)), _listing(work)) == before
+
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
