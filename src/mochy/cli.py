@@ -462,6 +462,9 @@ def _validate(args) -> None:
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             parser.error(f"--{name} must be finite")
+    p = _option_fields(args)["p"]
+    if p is not None and not 0 < p < 1:
+        parser.error("--p must lie in (0, 1)")
     if args.command == "cp" and args.epsilon <= 0:
         parser.error("--epsilon must be positive")
     for name, low in (("budget", 0), ("replicates", 1), ("theta", 1), ("threads", 1)):

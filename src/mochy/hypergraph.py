@@ -307,11 +307,20 @@ def dump_hypergraph(h: Hypergraph, out: IO[str]) -> None:
         out.write(" ".join(words[a:b]) + "\n")
 
 
+def _int(token: str, name: str, line: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{name} line {line}: {token!r} is not an integer") from None
+
+
 def convert_nverts_format(nverts_lines: Sequence[str], simplices_lines: Sequence[str]) -> list[list[int]]:
     """Convert the public two-file layout (per-edge vertex counts + flattened
     member stream) into edge-list rows. Returns a list of label lists."""
-    counts = [int(tok) for line in nverts_lines for tok in line.split()]
-    flat = [int(tok) for line in simplices_lines for tok in line.split()]
+    counts, flat = (
+        [_int(tok, name, n) for n, line in enumerate(lines, start=1) for tok in line.split()]
+        for lines, name in ((nverts_lines, "vertex counts"), (simplices_lines, "member stream"))
+    )
     for n, c in enumerate(counts, start=1):
         if c < 0:
             raise ValueError(f"vertex count {c} of simplex {n} is negative")

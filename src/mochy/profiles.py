@@ -147,53 +147,38 @@ def motif_importance(
 
     importance[t] = 1 - within/across, where within (across) is the mean
     |CP_t(a) - CP_t(b)| over same-domain (cross-domain) pairs; degenerate
-    zero across-distances give 0.
+    zero across-distances give 0. Profiles of unequal lengths are a ValueError.
     """
     domains = [d for d, _ in labeled_cps]
     if len(set(domains)) < 2:
         raise ValueError("importance needs profiles from at least two domains")
-    pairs = list(combinations(range(len(labeled_cps)), 2))
-    within = [(a, b) for a, b in pairs if domains[a] == domains[b]]
-    across = [(a, b) for a, b in pairs if domains[a] != domains[b]]
-    if not within:
+    a, b = np.array(list(combinations(range(len(domains)), 2))).T
+    same = np.array(domains)[a] == np.array(domains)[b]
+    if not same.any():
         raise ValueError("importance needs at least one same-domain pair")
-    size = len(labeled_cps[0][1])
-    out = []
-    for t in range(size):
-        d_within = sum(
-            abs(labeled_cps[a][1][t] - labeled_cps[b][1][t]) for a, b in within
-        ) / len(within)
-        d_across = sum(
-            abs(labeled_cps[a][1][t] - labeled_cps[b][1][t]) for a, b in across
-        ) / len(across)
-        if d_across == 0.0:
-            out.append(0.0)
-        else:
-            out.append(1.0 - d_within / d_across)
-    return tuple(out)
+    cps = np.asarray([cp for _, cp in labeled_cps], dtype=float)
+    gaps = np.abs(cps[a] - cps[b])
+    d_within, d_across = gaps[same].mean(axis=0), gaps[~same].mean(axis=0)
+    ratio = np.divide(d_within, d_across, out=np.ones_like(d_across), where=d_across != 0)
+    return tuple((1.0 - ratio).tolist())
 
 
 def cp_similarity_matrix(cps: Sequence[Sequence[float]]) -> np.ndarray:
     """Pearson correlation matrix of CP vectors; unit diagonal.
 
     A zero-variance profile correlates 0 with everything else, with a
-    warning.
+    warning. Profiles of unequal lengths are a ValueError.
     """
     if len(cps) < 2:
         raise ValueError("similarity matrix needs at least two profiles")
     arr = np.asarray(cps, dtype=float)
     centered = arr - arr.mean(axis=1, keepdims=True)
     norms = np.sqrt((centered**2).sum(axis=1))
-    flat = norms == 0
-    if flat.any():
+    if (flat := norms == 0).any():
         warnings.warn("zero-variance profile; its correlations are set to 0")
-    out = np.zeros((len(cps), len(cps)))
-    for a in range(len(cps)):
-        for b in range(a + 1, len(cps)):
-            if not (flat[a] or flat[b]):
-                out[a, b] = out[b, a] = float(
-                    centered[a] @ centered[b] / (norms[a] * norms[b])
-                )
+    norms[flat] = 1.0
+    out = centered @ centered.T / np.outer(norms, norms)
+    out[flat] = out[:, flat] = 0.0
     np.fill_diagonal(out, 1.0)
     return out
 
@@ -222,26 +207,22 @@ def conditional_entropy(
     refinement maps fine motif ids to coarse motif ids and must partition
     the coarse counts exactly.
     """
-    groups: dict[int, list[float]] = {}
-    for fine_id, coarse_id in refinement.items():
-        groups.setdefault(coarse_id, []).append(ternary_counts[fine_id - 1])
+    fine_ids, coarse_ids = np.array([list(refinement), list(refinement.values())], dtype=np.int64)
+    fine = np.asarray(ternary_counts, dtype=float)[fine_ids - 1]
     total = sum(binary_counts)
     if total == 0:
         return 0.0
-    entropy = 0.0
-    for coarse_id, n_coarse in enumerate(binary_counts, start=1):
-        parts = groups.get(coarse_id, [])
-        if not math.isclose(sum(parts), n_coarse, rel_tol=1e-9, abs_tol=1e-9):
-            raise ValueError(
-                f"fine counts for motif {coarse_id} sum to {sum(parts)}, "
-                f"expected {n_coarse}"
-            )
-        if n_coarse == 0:
-            continue
-        inner = 0.0
-        for n_fine in parts:
-            if n_fine > 0:
-                frac = n_fine / n_coarse
-                inner -= frac * math.log(frac)
-        entropy += (n_coarse / total) * inner
-    return entropy
+    coarse = np.asarray(binary_counts, dtype=float)
+    sums = np.bincount(coarse_ids - 1, weights=fine, minlength=len(coarse))
+    # math.isclose(sums, coarse, rel_tol=1e-9, abs_tol=1e-9), elementwise
+    gap, size = np.abs(sums - coarse), np.maximum(np.abs(sums), np.abs(coarse))
+    if (wrong := ~((sums == coarse) | (gap <= np.maximum(1e-9 * size, 1e-9)))).any():
+        t = wrong.argmax() + 1
+        parts = sum(ternary_counts[f - 1] for f, c in refinement.items() if c == t)
+        raise ValueError(
+            f"fine counts for motif {t} sum to {parts}, expected {binary_counts[t - 1]}"
+        )
+    n_coarse = coarse[coarse_ids - 1]
+    frac = np.divide(fine, n_coarse, out=np.zeros_like(fine), where=n_coarse != 0)
+    pos = frac > 0
+    return 0.0 - float(np.sum(n_coarse[pos] / total * frac[pos] * np.log(frac[pos])))

@@ -293,6 +293,20 @@ class TestMisc:
         assert captured.out == ""
         assert captured.err == "mochy: error: vertex count -1 of simplex 2 is negative\n"
 
+    @pytest.mark.parametrize("nverts, simplices, message", [
+        ("2\n1 x\n", "1 2\n3\n", "vertex counts line 2: 'x' is not an integer"),
+        ("2\n1\n", "1 2\n\n3.0\n", "member stream line 3: '3.0' is not an integer"),
+    ], ids=["nverts", "simplices"])
+    def test_convert_bad_token_names_its_line(self, tmp_path, capsys, nverts, simplices, message):
+        nv = tmp_path / "nverts.txt"
+        sx = tmp_path / "simplices.txt"
+        nv.write_text(nverts)
+        sx.write_text(simplices)
+        assert main(["convert", "--nverts", str(nv), "--simplices", str(sx)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mochy: error: {message}\n"
+
 
 class TestWriteRows:
     def test_integers_are_exact(self):
@@ -378,6 +392,9 @@ class TestOutOfRangeInputs:
         # 0 would make a motif counted 0 times in the input and the null 0 / 0
         (["cp", "{in}", "--replicates", "1", "--epsilon", "0"], 2),
         (["cp", "{in}", "--replicates", "1", "--epsilon=-1"], 2),
+        # p is a ratio threshold of mr and hr-*, decided before the input is read
+        (["count", "{in}", "--motifs", "ternary", "--variant", "mr", "--p", "1.5"], 2),
+        (["count", "{in}", "--motifs", "ternary", "--variant", "hr-max", "--p", "0"], 2),
     ])
     def test_is_one_line_error(self, argv, code, chain_file, capsys):
         argv = [a.format(**{"in": chain_file}) for a in argv]
@@ -392,6 +409,19 @@ class TestOutOfRangeInputs:
         # a usage error is the command's, a runtime error the program's
         assert err[-1].startswith(f"mochy {argv[0]}: error: " if code == 2 else "mochy: error: ")
         assert not any("Traceback" in line for line in err)
+
+    def test_p_out_of_range_is_rejected_before_the_input_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        with pytest.raises(SystemExit) as info:
+            main(["count", missing, "--motifs", "ternary", "--variant", "hr-max", "--p", "0"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            "mochy count: error: --p must lie in (0, 1)"
+        )
+
+    def test_p_is_not_checked_where_the_run_does_not_read_it(self, chain_file, capsys):
+        assert main(["count", chain_file, "--p", "1.5"]) == 0
+        assert main(["count", chain_file, "--motifs", "ternary", "--variant", "abs", "--p", "0"]) == 0
 
 
 def _subcommands():

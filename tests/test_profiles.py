@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import statistics
 from itertools import combinations
 
@@ -285,6 +286,20 @@ class TestNodeProfile:
                 assert snp <= rnp <= cnp
 
 
+def cp_corpus(seed):
+    """Seeded labeled CPs: 3-12 profiles from at least two domains, with a
+    same-domain pair, over 26 or 431 motifs, a fifth of them equal in every
+    profile (so with no cross-domain gap)."""
+    rng = random.Random(seed)
+    size, n = rng.choice((26, 431)), rng.randint(3, 12)
+    domains = ["ab"[i % 2] if i < 3 else rng.choice("abcde") for i in range(n)]
+    cps = np.array([[rng.gauss(0, 1) for _ in range(size)] for _ in range(n)])
+    cps /= np.sqrt((cps**2).sum(axis=1, keepdims=True))
+    shared = rng.sample(range(size), size // 5)
+    cps[:, shared] = [rng.uniform(-0.2, 0.2) for _ in shared]
+    return list(zip(domains, map(tuple, cps.tolist())))
+
+
 class TestImportance:
     def test_hand_computed_two_domains(self):
         cps = [
@@ -314,6 +329,32 @@ class TestImportance:
         with pytest.raises(ValueError):
             motif_importance([("x", (1.0,)), ("y", (0.5,))])
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_definition_on_seeded_corpora(self, seed):
+        labeled = cp_corpus(seed)
+        labels = np.array([d for d, _ in labeled])
+        cps = np.array([cp for _, cp in labeled])
+        # |CP_t(a) - CP_t(b)| for every ordered pair; each unordered pair once
+        gap = np.abs(cps[:, None, :] - cps[None, :, :])
+        upper = np.triu(np.ones((len(cps), len(cps)), dtype=bool), k=1)
+        same = labels[:, None] == labels[None, :]
+        within = gap[upper & same].mean(axis=0)
+        across = gap[upper & ~same].mean(axis=0)
+        flat = across == 0
+        assert flat.sum() >= len(cps[0]) // 5
+        want = np.where(flat, 0.0, 1.0 - within / np.where(flat, 1.0, across))
+        got = motif_importance(labeled)
+        assert len(got) == len(want)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert all(got[t] == 0.0 for t in np.flatnonzero(flat))
+
+    @pytest.mark.parametrize("short", [0, 1, 2])
+    def test_unequal_lengths_rejected(self, short):
+        labeled = [("x", (0.1, 0.2)), ("x", (0.3, 0.4)), ("y", (0.5, 0.6))]
+        labeled[short] = (labeled[short][0], (0.1,))
+        with pytest.raises(ValueError):
+            motif_importance(labeled)
+
 
 class TestSimilarityMatrix:
     def test_self_and_negation(self):
@@ -329,11 +370,32 @@ class TestSimilarityMatrix:
         m = cp_similarity_matrix([a, b])
         assert m[0, 1] == pytest.approx(statistics.correlation(a, b), abs=1e-12)
         assert np.allclose(m, m.T)
+        for seed in range(8):
+            cps = [cp for _, cp in cp_corpus(seed)]
+            m = cp_similarity_matrix(cps)
+            want = np.eye(len(cps))
+            for i, j in combinations(range(len(cps)), 2):
+                want[i, j] = want[j, i] = statistics.correlation(cps[i], cps[j])
+            assert np.array_equal(m, m.T) and np.all(np.diag(m) == 1.0)
+            assert np.allclose(m, want, rtol=0, atol=1e-12)
 
     def test_zero_variance_profile(self):
         with pytest.warns(UserWarning):
             m = cp_similarity_matrix([[0.5, 0.5, 0.5], [0.1, 0.2, 0.3]])
         assert m[0, 1] == 0.0 and m[0, 0] == 1.0
+        cps = [cp for _, cp in cp_corpus(3)]
+        cps[2] = (0.25,) * len(cps[0])
+        with pytest.warns(UserWarning) as record:
+            m = cp_similarity_matrix(cps)
+        assert len(record) == 1
+        others = [i for i in range(len(cps)) if i != 2]
+        assert np.all(m[2, others] == 0.0) and np.all(m[others, 2] == 0.0)
+        assert m[2, 2] == 1.0 and np.all(np.diag(m) == 1.0)
+
+    def test_unequal_lengths_rejected(self):
+        for cps in ([[0.1, 0.2], [0.3, 0.4, 0.5]], [[0.1, 0.2, 0.3], [0.4, 0.5]]):
+            with pytest.raises(ValueError):
+                cp_similarity_matrix(cps)
 
     def test_needs_two_profiles(self):
         with pytest.raises(ValueError):
@@ -401,6 +463,37 @@ class TestConditionalEntropy:
     def test_partition_violation_rejected(self):
         with pytest.raises(ValueError):
             conditional_entropy([3.0], [1.0, 1.0], {1: 1, 2: 1})
+        binary, ternary, refinement = self.corpus(random.Random(5))
+        t = max(range(1, 27), key=lambda b: binary[b - 1])
+        assert binary[t - 1] < 1000  # so 1e-6 exceeds the 1e-9 relative tolerance
+        binary[t - 1] += 1e-6
+        parts = sum(ternary[f - 1] for f, b in refinement.items() if b == t)
+        message = f"fine counts for motif {t} sum to {parts}, expected {binary[t - 1]}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            conditional_entropy(binary, ternary, refinement)
+
+    @staticmethod
+    def corpus(rng):
+        """Ternary counts, many of them 0, and the binary counts they refine."""
+        refinement = ternary_refinement_map()
+        ternary = [rng.choice((0, 0, 1, 2, rng.randrange(100))) for _ in range(431)]
+        binary = [0] * 26
+        for f, b in refinement.items():
+            binary[b - 1] += ternary[f - 1]
+        return binary, ternary, refinement
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_definition_on_seeded_corpora(self, seed):
+        binary, ternary, refinement = self.corpus(random.Random(seed))
+        total = sum(binary)
+        want = -math.fsum(
+            ternary[f - 1] / total * math.log(ternary[f - 1] / binary[b - 1])
+            for f, b in refinement.items()
+            if ternary[f - 1] > 0
+        )
+        assert conditional_entropy(binary, ternary, refinement) == pytest.approx(
+            want, rel=1e-12
+        )
 
     def test_exact_counts_from_refinement(self, twelve):
         lg = build_line_graph(twelve)
