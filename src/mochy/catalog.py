@@ -39,10 +39,7 @@ def region_subsets(k: int) -> tuple[tuple[int, ...], ...]:
     """Covering-position subsets for the 2^k - 1 regions of a k-edge pattern."""
     if k == 3:
         return _TRIPLE_SUBSETS
-    subsets = []
-    for size in range(1, k + 1):
-        subsets.extend(itertools.combinations(range(k), size))
-    return tuple(subsets)
+    return tuple(s for n in range(1, k + 1) for s in itertools.combinations(range(k), n))
 
 
 @lru_cache(maxsize=None)
@@ -53,12 +50,10 @@ def _perm_tables(k: int) -> tuple[tuple[int, ...], ...]:
     """
     subsets = region_subsets(k)
     index_of = {frozenset(s): r for r, s in enumerate(subsets)}
-    tables = []
-    for perm in itertools.permutations(range(k)):
-        tables.append(
-            tuple(index_of[frozenset(perm[x] for x in s)] for s in subsets)
-        )
-    return tuple(tables)
+    return tuple(
+        tuple(index_of[frozenset(perm[x] for x in s)] for s in subsets)
+        for perm in itertools.permutations(range(k))
+    )
 
 
 def canonicalize(pattern: Sequence[int], k: int = 3) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .catalog import BINARY, MotifMode, classify_batch
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _run_starts
 from .linegraph import (
     LineGraph,
     MemoizedNeighborStore,
@@ -332,10 +332,7 @@ def _triple_intersections(h: Hypergraph, i, j, k, closed) -> np.ndarray:
     sizes, keys = h.member_arrays
     ptr, n = h.edge_ptr, h.num_nodes
     a, b = i[idx], j[idx]
-    new_pair = np.empty(len(idx), dtype=bool)
-    new_pair[0] = True
-    np.not_equal(a[1:], a[:-1], out=new_pair[1:])
-    new_pair[1:] |= b[1:] != b[:-1]
+    new_pair = _run_starts(a) | _run_starts(b)
     first, pair_of = np.flatnonzero(new_pair), np.cumsum(new_pair) - 1
     a, b = a[first], b[first]
     a_small = sizes[a] <= sizes[b]
@@ -631,11 +628,8 @@ def _shared(motifs: np.ndarray, size: int, *columns: np.ndarray) -> list[int]:
     """Per motif id below size, the sum of C(c, 2) over the runs of c equal
     rows (motif, *columns)."""
     order = np.lexsort((*columns[::-1], motifs))
-    new = np.arange(len(order)) == 0
-    for x in (motifs, *columns):
-        x = x[order]
-        new[1:] |= x[1:] != x[:-1]
-    starts = np.flatnonzero(new)
+    new = [_run_starts(x[order]) for x in (motifs, *columns)]
+    starts = np.flatnonzero(np.logical_or.reduce(new))
     c = np.diff(starts, append=len(order))
     out = np.zeros(size, dtype=np.int64)
     np.add.at(out, motifs[order[starts]], c * (c - 1) // 2)
@@ -700,6 +694,8 @@ def estimator_variance(
     hyperwedges if the motif is closed, 2 if it is open. Pairs sharing n
     units are the p (edge) or q (wedge) tallies; the pair sums use ordered
     instance pairs, i.e. twice the unordered tallies held by PairOverlapStats.
+    A count of 0 has variance 0.0; else a motif id outside the catalog, or a
+    population below c, is a ValueError.
     """
     if estimator not in {"edge", "wedge"}:
         raise ValueError(f"unknown estimator {estimator!r}")
@@ -711,11 +707,13 @@ def estimator_variance(
         )
     if count == 0:
         return 0.0
-    if estimator == "edge":
-        pairs, c = stats.p.get(motif_id, (0, 0, 0)), 3
-    else:
-        pairs = stats.q.get(motif_id, (0, 0))
-        c = 2 if stats.mode.catalog().is_open(motif_id) else 3
+    catalog = stats.mode.catalog()
+    if not 1 <= motif_id <= len(catalog):
+        raise ValueError(f"motif id {motif_id} lies outside the catalog of {len(catalog)} motifs")
+    pairs = (stats.p if estimator == "edge" else stats.q).get(motif_id, ())
+    c = 2 if estimator == "wedge" and catalog.is_open(motif_id) else 3
+    if population < c:
+        raise ValueError(f"population {population} is below the {c} units one instance holds")
     return count * (population - c) / (c * samples) + sum(
         2 * x * (n * population - c * c) for n, x in enumerate(pairs)
     ) / (c * c * samples)
@@ -736,12 +734,14 @@ def recommend_samples(
     estimator squares d_max inside the ratio, the wedge estimator does not,
     and open motifs enjoy a 1/8 constant instead of 1/18.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    if d_max < 1 or population < 1:
+    if not (d_max >= 1 and population >= 1):
         raise ValueError("d_max and population must be at least 1")
+    if not math.isfinite(count):
+        raise ValueError(f"count must be finite, not {count}")
     if count <= 0:
         raise ValueError("bound undefined for motifs with zero instances")
     if estimator not in {"edge", "wedge"}:

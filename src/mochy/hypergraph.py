@@ -20,7 +20,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -328,9 +328,5 @@ def convert_nverts_format(nverts_lines: Sequence[str], simplices_lines: Sequence
         raise ValueError(
             f"member stream has {len(flat)} labels but counts sum to {sum(counts)}"
         )
-    edges = []
-    pos = 0
-    for c in counts:
-        edges.append(flat[pos : pos + c])
-        pos += c
-    return edges
+    bounds = list(accumulate(counts, initial=0))
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]

@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _run_starts
 
 # Member-incidence pairs per neighbor_rows call while the line graph is
 # built, or while the degrees are counted; each bounds its pass's temporaries.
@@ -151,7 +151,7 @@ def neighbor_rows(h: Hypergraph, ids) -> tuple[np.ndarray, np.ndarray, np.ndarra
     n = h.num_edges
     dtype = np.int32 if len(ids) * n < 1 << 31 else np.int64
     keys = np.sort(owner[keep].astype(dtype) * n + nbr[keep])
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    first = np.flatnonzero(_run_starts(keys))
     owner, nbr = np.divmod(keys[first], n)
     weight = np.diff(first, append=len(keys)).astype(np.int32)
     return owner.astype(np.int32), nbr.astype(np.int32), weight

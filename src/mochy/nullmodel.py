@@ -115,16 +115,12 @@ def null_counts(
     compatibility and has no effect. Returns the mean vector and the
     per-replicate vectors it averages.
     """
-    vectors = []
-    for rep in range(cfg.replicates):
-        vectors.append(counter(*_replicate(h, cfg.seed, rep)))
-    size = len(vectors[0].counts)
-    mean = [
-        sum(cv.counts[t] for cv in vectors) / cfg.replicates for t in range(size)
-    ]
+    vectors = [counter(*_replicate(h, cfg.seed, rep)) for rep in range(cfg.replicates)]
+    # cumsum adds in replicate order, as a per-motif sum() does; np.sum may add pairwise
+    mean = np.cumsum([cv.counts for cv in vectors], axis=0)[-1] / cfg.replicates
     out = CountVector(
         mode=vectors[0].mode,
-        counts=mean,
+        counts=mean.tolist(),
         meta={
             "algorithm": "null-mean",
             "replicates": cfg.replicates,

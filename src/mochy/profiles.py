@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import BINARY, MotifMode
-from .counting import CountVector, _edge_triples, _result, count_exact
+from .counting import CountVector, _edge_triples, _exact_triples, _result
 from .hypergraph import Hypergraph, from_pairs
 from .linegraph import LineGraph, build_line_graph, ragged_range
 
@@ -46,10 +46,8 @@ def significance(
         raise ValueError("epsilon must be positive")
     if counts.mode != null.mode or len(counts.counts) != len(null.counts):
         raise ValueError("count vectors come from different catalogs")
-    delta = tuple(
-        (m - mr) / (m + mr + epsilon)
-        for m, mr in zip(counts.counts, null.counts)
-    )
+    m, mr = (np.asarray(c.counts, dtype=float) for c in (counts, null))
+    delta = tuple(((m - mr) / (m + mr + epsilon)).tolist())
     return SignificanceVector(mode=counts.mode, delta=delta, epsilon=epsilon)
 
 
@@ -66,10 +64,9 @@ def relative_counts(counts: CountVector, null: CountVector) -> tuple[float, ...]
     """(M - M_rand) / (M + M_rand) per motif, with 0/0 defined as 0."""
     if counts.mode != null.mode or len(counts.counts) != len(null.counts):
         raise ValueError("count vectors come from different catalogs")
-    out = []
-    for m, mr in zip(counts.counts, null.counts):
-        out.append(0.0 if m + mr == 0 else (m - mr) / (m + mr))
-    return tuple(out)
+    m, mr = (np.asarray(c.counts, dtype=float) for c in (counts, null))
+    total = m + mr
+    return tuple(np.divide(m - mr, total, out=np.zeros_like(total), where=total != 0).tolist())
 
 
 def hyperedge_profile(
@@ -133,11 +130,20 @@ def node_profile(
     h: Hypergraph, v: int, kind: str = "radial", mode: MotifMode = BINARY
 ) -> CountVector:
     """Exact motif counts (Python ints) inside an ego-network of node v."""
-    ego = ego_network(h, v, kind)
-    sub = ego.hypergraph
-    out = count_exact(sub, build_line_graph(sub), mode)
-    out.meta.update({"algorithm": "node-profile", "node": v, "ego_kind": kind})
-    return out
+    sub = ego_network(h, v, kind).hypergraph
+    lg = build_line_graph(sub)
+    fields = {"num_wedges": lg.wedge_count, "node": v, "ego_kind": kind}
+    return _result(sub, mode, "node-profile", _exact_triples(lg), **fields)
+
+
+def _profile_array(cps: Sequence[Sequence[float]], labels=None) -> np.ndarray:
+    """The profiles as rows of a float array; one whose length differs from
+    profile 0's is a ValueError naming it and, given labels, its label."""
+    for n, cp in enumerate(cps):
+        if len(cp) != len(cps[0]):
+            name = f"profile {n}" + (f" ({labels[n]!r})" if labels else "")
+            raise ValueError(f"{name} has length {len(cp)}, profile 0 has {len(cps[0])}")
+    return np.asarray(cps, dtype=float)
 
 
 def motif_importance(
@@ -156,7 +162,7 @@ def motif_importance(
     same = np.array(domains)[a] == np.array(domains)[b]
     if not same.any():
         raise ValueError("importance needs at least one same-domain pair")
-    cps = np.asarray([cp for _, cp in labeled_cps], dtype=float)
+    cps = _profile_array([cp for _, cp in labeled_cps], domains)
     gaps = np.abs(cps[a] - cps[b])
     d_within, d_across = gaps[same].mean(axis=0), gaps[~same].mean(axis=0)
     ratio = np.divide(d_within, d_across, out=np.ones_like(d_across), where=d_across != 0)
@@ -171,7 +177,7 @@ def cp_similarity_matrix(cps: Sequence[Sequence[float]]) -> np.ndarray:
     """
     if len(cps) < 2:
         raise ValueError("similarity matrix needs at least two profiles")
-    arr = np.asarray(cps, dtype=float)
+    arr = _profile_array(cps)
     centered = arr - arr.mean(axis=1, keepdims=True)
     norms = np.sqrt((centered**2).sum(axis=1))
     if (flat := norms == 0).any():
@@ -205,9 +211,14 @@ def conditional_entropy(
     """Extra information (nats) in the finer counts given the coarser ones.
 
     refinement maps fine motif ids to coarse motif ids and must partition
-    the coarse counts exactly.
+    the coarse counts exactly; an id outside its catalog is a ValueError.
     """
-    fine_ids, coarse_ids = np.array([list(refinement), list(refinement.values())], dtype=np.int64)
+    ids = np.array([list(refinement), list(refinement.values())], dtype=np.int64)
+    inside = ((ids >= 1) & (ids <= [[len(ternary_counts)], [len(binary_counts)]])).all(axis=0)
+    if not inside.all():
+        f, c = ids[:, inside.argmin()]
+        raise ValueError(f"refinement entry {f} -> {c} lies outside the motif catalogs")
+    fine_ids, coarse_ids = ids
     fine = np.asarray(ternary_counts, dtype=float)[fine_ids - 1]
     total = sum(binary_counts)
     if total == 0:

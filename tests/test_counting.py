@@ -23,6 +23,7 @@ from mochy import (
     from_edge_sets,
     hyperedge_profile,
     load_hypergraph,
+    node_profile,
     pair_overlap_stats,
     recommend_samples,
     ternary_refinement_map,
@@ -211,6 +212,28 @@ class TestEstimatorVariance:
     def test_zero_count_zero_variance(self, star4):
         stats = pair_overlap_stats(star4, build_line_graph(star4))
         assert estimator_variance(0, stats, 99, 5, 4, "edge") == 0.0
+        # at any population, even one below the units an instance holds
+        for population in (0, 1, 2):
+            assert estimator_variance(0, stats, 1, 5, population, "wedge") == 0.0
+
+    @pytest.mark.parametrize("estimator", ["edge", "wedge"])
+    @pytest.mark.parametrize("motif_id", [0, -1, 27, 99])
+    def test_motif_id_outside_the_catalog_rejected(self, star4, estimator, motif_id):
+        stats = pair_overlap_stats(star4, build_line_graph(star4))
+        with pytest.raises(ValueError, match=f"motif id {motif_id} lies outside the catalog of 26"):
+            estimator_variance(1, stats, motif_id, 1, 10, estimator)
+
+    def test_population_below_the_units_of_an_instance_rejected(self):
+        stats = PairOverlapStats(MotifMode("binary"), {}, {}, {})
+        flags = MotifMode("binary").catalog().open_flags
+        opened, closed = flags.index(True) + 1, flags.index(False) + 1
+        for estimator, motif_id, units in (
+            ("edge", closed, 3), ("edge", opened, 3), ("wedge", closed, 3), ("wedge", opened, 2),
+        ):
+            for population in range(units):
+                with pytest.raises(ValueError, match=f"below the {units} units"):
+                    estimator_variance(1, stats, motif_id, 1, population, estimator)
+            assert estimator_variance(1, stats, motif_id, 1, units, estimator) == 0.0
 
     def test_spec_plug_in_value(self):
         stats = PairOverlapStats(
@@ -285,6 +308,11 @@ class TestRecommendSamples:
             recommend_samples(0.1, 0.1, 2, 0, 100, "wedge")
         with pytest.raises(ValueError):
             recommend_samples(0.0, 0.1, 2, 10, 100, "wedge")
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            recommend_samples(math.nan, 0.1, 2, 10, 100, "wedge")
+        for count in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="count must be finite"):
+                recommend_samples(0.1, 0.1, 2, count, 100, "edge")
         with pytest.raises(ValueError):
             recommend_samples(0.1, 0.1, 2, 10, 100, "line")
 
@@ -294,7 +322,9 @@ class TestRecommendSamples:
         with pytest.raises(ValueError, match="delta"):
             recommend_samples(0.1, delta, 2, 10, 100, estimator)
 
-    @pytest.mark.parametrize("d_max, population", [(0, 100), (-3, 100), (2, 0), (-3, -100)])
+    @pytest.mark.parametrize("d_max, population", [
+        (0, 100), (-3, 100), (2, 0), (-3, -100), (math.nan, 100), (2, math.nan),
+    ])
     def test_d_max_or_population_below_one_rejected(self, d_max, population):
         with pytest.raises(ValueError, match="at least 1"):
             recommend_samples(0.1, 0.1, d_max, 10, population, "wedge")
@@ -356,3 +386,10 @@ class TestMeta:
         assert (meta["algorithm"], meta["num_edges"], meta["hyperedge"]) == (
             "hyperedge-profile", h.num_edges, 3,
         )
+
+    @pytest.mark.parametrize("kind", ["star", "radial", "contracted"])
+    def test_node_profile_keys_in_order(self, kind):
+        h = load_hypergraph(io.StringIO(golden_input()))
+        meta = node_profile(h, 8, kind).meta
+        assert list(meta) == ["algorithm", "num_edges", "num_wedges", "node", "ego_kind", "triples"]
+        assert (meta["algorithm"], meta["node"], meta["ego_kind"]) == ("node-profile", 8, kind)

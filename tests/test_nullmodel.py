@@ -10,6 +10,7 @@ from mochy import (
     NullModelConfig,
     build_line_graph,
     count_exact,
+    count_sample_hyperwedge,
     from_edge_sets,
     null_counts,
     randomize_chung_lu,
@@ -136,6 +137,22 @@ class TestNullCounts:
         a, _ = null_counts(twelve, self.exact_counter, cfg, workers=1)
         b, _ = null_counts(twelve, self.exact_counter, cfg, workers=4)
         assert a.counts == b.counts
+
+    @pytest.mark.parametrize("replicates", [1, 2, 7])
+    @pytest.mark.parametrize("algo", ["exact", "wedge-sample"])
+    def test_mean_is_the_replicate_sum_over_the_count(self, twelve, algo, replicates):
+        def counter(h_rand, rng):
+            lg = build_line_graph(h_rand)
+            if algo == "exact":
+                return count_exact(h_rand, lg)
+            return count_sample_hyperwedge(h_rand, lg, 25, rng.randrange(1 << 62))
+
+        mean, reps = null_counts(twelve, counter, NullModelConfig(replicates, seed=6))
+        assert len(reps) == replicates and mean.meta["replicates"] == replicates
+        assert {type(c) for cv in reps for c in cv.counts} == {int if algo == "exact" else float}
+        columns = zip(*(cv.counts for cv in reps))
+        assert mean.counts == [sum(column) / replicates for column in columns]
+        assert all(type(c) is float for c in mean.counts) and any(mean.counts)
 
     def test_singleton_edges_never_form_instances(self):
         h = from_edge_sets([{0}, {1}, {2}])

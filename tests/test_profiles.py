@@ -44,6 +44,22 @@ def vec(values, mode=MotifMode("binary")):
     return CountVector(mode=mode, counts=counts)
 
 
+def seeded_pair(seed, kind):
+    """Two seeded binary count vectors: exact ints or sampled estimates
+    (int tallies times a scale). Motifs 1-3 are 0 in both, a third of the
+    rest 0 in each; "zero" makes the second all 0."""
+    rng = random.Random(seed)
+    scale = rng.choice((1 / 3, 0.37, 2.5, 1e4 / 7))
+
+    def count():
+        c = rng.choice((0, rng.randrange(1, 60), rng.randrange(10**6)))
+        return c if kind == "int" else c * scale
+
+    m = vec({t: count() for t in range(4, 27)})
+    mr = vec({} if kind == "zero" else {t: count() for t in range(4, 27)})
+    return m, mr
+
+
 class TestSignificance:
     def test_zero_counts_zero_delta(self):
         sig = significance(vec({}), vec({}))
@@ -62,6 +78,16 @@ class TestSignificance:
         sig = significance(m, mr)
         for d, a, b in zip(sig.delta, m.counts, mr.counts):
             assert (d > 0) == (a > b) and (d < 0) == (a < b)
+
+    @pytest.mark.parametrize("epsilon", [1.0, 0.5, 3])
+    @pytest.mark.parametrize("kind", ["int", "float", "zero"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_formula_holds_exactly_on_seeded_vectors(self, seed, kind, epsilon):
+        m, mr = seeded_pair(seed, kind)
+        sig = significance(m, mr, epsilon)
+        assert sig.epsilon == epsilon and len(sig.delta) == 26
+        for d, a, b in zip(sig.delta, m.counts, mr.counts):
+            assert type(d) is float and d == (a - b) / (a + b + epsilon)
 
     def test_catalog_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -112,6 +138,19 @@ class TestRelativeCounts:
     def test_zero_null_gives_one(self):
         rc = relative_counts(vec({1: 10}), vec({}))
         assert rc[0] == 1.0
+
+    @pytest.mark.parametrize("kind", ["int", "float", "zero"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_formula_holds_exactly_on_seeded_vectors(self, seed, kind):
+        m, mr = seeded_pair(seed, kind)
+        rc = relative_counts(m, mr)
+        assert len(rc) == 26 and rc[:3] == (0.0, 0.0, 0.0)
+        for r, a, b in zip(rc, m.counts, mr.counts):
+            assert type(r) is float and r == ((a - b) / (a + b) if a + b else 0.0)
+
+    def test_catalog_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="different catalogs"):
+            relative_counts(vec({}), vec({}, MotifMode("abs", theta=1)))
 
 
 def hp_oracle(h, e):
@@ -352,7 +391,13 @@ class TestImportance:
     def test_unequal_lengths_rejected(self, short):
         labeled = [("x", (0.1, 0.2)), ("x", (0.3, 0.4)), ("y", (0.5, 0.6))]
         labeled[short] = (labeled[short][0], (0.1,))
-        with pytest.raises(ValueError):
+        # profile 0 sets the length; the first profile unlike it is named
+        message = {
+            0: "profile 1 ('x') has length 2, profile 0 has 1",
+            1: "profile 1 ('x') has length 1, profile 0 has 2",
+            2: "profile 2 ('y') has length 1, profile 0 has 2",
+        }[short]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             motif_importance(labeled)
 
 
@@ -393,8 +438,12 @@ class TestSimilarityMatrix:
         assert m[2, 2] == 1.0 and np.all(np.diag(m) == 1.0)
 
     def test_unequal_lengths_rejected(self):
-        for cps in ([[0.1, 0.2], [0.3, 0.4, 0.5]], [[0.1, 0.2, 0.3], [0.4, 0.5]]):
-            with pytest.raises(ValueError):
+        for cps, message in (
+            ([[0.1, 0.2], [0.3, 0.4, 0.5]], "profile 1 has length 3, profile 0 has 2"),
+            ([[0.1, 0.2, 0.3], [0.4, 0.5]], "profile 1 has length 2, profile 0 has 3"),
+            ([[0.1, 0.2], [0.3, 0.4], [0.5]], "profile 2 has length 1, profile 0 has 2"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 cp_similarity_matrix(cps)
 
     def test_needs_two_profiles(self):
@@ -469,6 +518,18 @@ class TestConditionalEntropy:
         binary[t - 1] += 1e-6
         parts = sum(ternary[f - 1] for f, b in refinement.items() if b == t)
         message = f"fine counts for motif {t} sum to {parts}, expected {binary[t - 1]}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            conditional_entropy(binary, ternary, refinement)
+
+    @pytest.mark.parametrize("binary, ternary, refinement, entry", [
+        ([1.0], [1.0, 0.0, 0.0], {1: 1, 2: 1, 3: 5}, "3 -> 5"),  # coarse id past the end
+        ([1.0], [1.0, 0.0], {1: 1, 2: 0}, "2 -> 0"),  # coarse id 0
+        ([2.0], [1.0, 1.0], {1: 1, 3: 1}, "3 -> 1"),  # fine id past the end
+        ([2.0], [1.0, 1.0], {0: 1, 2: -1}, "0 -> 1"),  # the first bad entry is named
+        ([0.0], [0.0, 0.0], {1: 1, 2: 2}, "2 -> 2"),  # even with no instances
+    ])
+    def test_ids_outside_the_catalogs_rejected(self, binary, ternary, refinement, entry):
+        message = f"refinement entry {entry} lies outside the motif catalogs"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             conditional_entropy(binary, ternary, refinement)
 
