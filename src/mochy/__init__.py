@@ -39,7 +39,6 @@ _EXPORTS = {
         "count_state_motifs",
         "enumerate_catalog",
         "is_valid_pattern",
-        "region_cardinalities",
         "ternary_refinement_map",
     ),
     "counting": (
@@ -63,13 +62,7 @@ _EXPORTS = {
         "load_hypergraph",
         "load_hypergraph_path",
     ),
-    "linegraph": (
-        "LineGraph",
-        "MemoizedNeighborStore",
-        "build_line_graph",
-        "hyperedge_degrees",
-        "hyperedge_neighbors",
-    ),
+    "linegraph": ("LineGraph", "build_line_graph"),
     "nullmodel": ("NullModelConfig", "null_counts", "randomize_chung_lu"),
     "profiles": (
         "CharacteristicProfile",
@@ -84,8 +77,6 @@ _EXPORTS = {
         "node_profile",
         "relative_counts",
         "significance",
-        "write_importance_csv",
-        "write_similarity_csv",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -143,6 +143,8 @@ class MotifCatalog:
         raise ValueError(f"pattern {tuple(pattern)} is not a valid motif")
 
     def is_open(self, motif_id: int) -> bool:
+        if not 1 <= motif_id <= len(self.open_flags):
+            raise IndexError(f"motif id {motif_id} lies outside 1..{len(self.open_flags)}")
         return self.open_flags[motif_id - 1]
 
     @cached_property

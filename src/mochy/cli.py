@@ -289,10 +289,10 @@ def cmd_enumerate(args, h):
 
 
 def cmd_randomize(args, h):
-    from .nullmodel import _replicate
+    from .nullmodel import randomize_chung_lu
 
     def writer(rep):
-        return lambda out: dump_hypergraph(_replicate(h, args.seed, rep)[0], out)
+        return lambda out: dump_hypergraph(randomize_chung_lu(h, args.seed, rep), out)
 
     return None, [(f"{args.out}.{rep}.txt", writer(rep)) for rep in range(args.replicates)]
 

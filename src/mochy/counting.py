@@ -61,6 +61,8 @@ class CountVector:
     meta: dict = field(default_factory=dict)
 
     def __getitem__(self, motif_id: int) -> float:
+        if not 1 <= motif_id <= len(self.counts):
+            raise IndexError(f"motif id {motif_id} lies outside 1..{len(self.counts)}")
         return self.counts[motif_id - 1]
 
     def __len__(self) -> int:

@@ -84,18 +84,17 @@ def redraw_incidences(h: Hypergraph, rng: random.Random) -> tuple[np.ndarray, np
     return slots, nodes
 
 
-def randomize_chung_lu(h: Hypergraph, seed: int = 0) -> Hypergraph:
-    """One randomized hypergraph; reproducible bit-for-bit from the seed.
-
-    Node labels in the output are the node ids of the input hypergraph, so
-    degrees remain comparable across replicates.
-    """
-    return from_pairs(*redraw_incidences(h, random.Random(seed)))
+def randomize_chung_lu(h: Hypergraph, seed: int = 0, replicate: int = 0) -> Hypergraph:
+    """Replicate `replicate` of the null model seeded with seed: the file
+    <prefix>.<replicate>.txt of `mochy randomize --seed seed`, and the
+    hypergraph null_counts counts. Node labels in the output are the input's
+    node ids, so degrees remain comparable across replicates."""
+    return _replicate(h, seed, replicate)[0]
 
 
 def _replicate(h: Hypergraph, seed: int, rep: int) -> tuple[Hypergraph, random.Random]:
-    """Replicate rep of the null model seeded with seed, and its stream,
-    derived from (seed, rep), right after the redraw."""
+    """randomize_chung_lu(h, seed, rep), and its stream, derived from
+    (seed, rep), right after the redraw."""
     rng = _stream(seed, rep)
     return from_pairs(*redraw_incidences(h, rng)), rng
 
@@ -108,11 +107,11 @@ def null_counts(
 ) -> tuple[CountVector, list[CountVector]]:
     """Mean per-motif counts over randomized replicates.
 
-    counter(h_rand, rng) runs any counting pipeline on one replicate; each
-    replicate's randomization stream is derived from (seed, replicate), and
-    counter receives it right after the redraw. Replicates run one after
-    another, and only one is held at a time; `workers` is accepted for
-    compatibility and has no effect. Returns the mean vector and the
+    counter(h_rand, rng) runs any counting pipeline on one replicate,
+    h_rand = randomize_chung_lu(h, seed, rep); rng is that replicate's
+    stream, derived from (seed, rep), right after the redraw. Replicates run
+    one after another, and only one is held at a time; `workers` is accepted
+    for compatibility and has no effect. Returns the mean vector and the
     per-replicate vectors it averages.
     """
     vectors = [counter(*_replicate(h, cfg.seed, rep)) for rep in range(cfg.replicates)]

@@ -53,11 +53,13 @@ def significance(
 
 def characteristic_profile(sig: SignificanceVector) -> CharacteristicProfile:
     """L2-normalized significance; all-zero input yields zeros with a warning."""
-    norm = math.sqrt(sum(d * d for d in sig.delta))
+    delta = np.asarray(sig.delta, dtype=float)
+    # cumsum adds in motif order, as a sum() over the motifs does; np.sum may add pairwise
+    norm = math.sqrt(np.cumsum(delta * delta)[-1])
     if norm == 0.0:
         warnings.warn("all significances are zero; characteristic profile is zero")
         return CharacteristicProfile(mode=sig.mode, cp=tuple(sig.delta))
-    return CharacteristicProfile(mode=sig.mode, cp=tuple(d / norm for d in sig.delta))
+    return CharacteristicProfile(mode=sig.mode, cp=tuple((delta / norm).tolist()))
 
 
 def relative_counts(counts: CountVector, null: CountVector) -> tuple[float, ...]:
@@ -129,10 +131,11 @@ def ego_network(h: Hypergraph, v: int, kind: str = "radial") -> EgoNetwork:
 def node_profile(
     h: Hypergraph, v: int, kind: str = "radial", mode: MotifMode = BINARY
 ) -> CountVector:
-    """Exact motif counts (Python ints) inside an ego-network of node v."""
+    """Exact motif counts (Python ints) inside an ego-network of node v;
+    meta["node"] is v's input label, h.node_labels[v]."""
     sub = ego_network(h, v, kind).hypergraph
     lg = build_line_graph(sub)
-    fields = {"num_wedges": lg.wedge_count, "node": v, "ego_kind": kind}
+    fields = {"num_wedges": lg.wedge_count, "node": int(h.node_labels[v]), "ego_kind": kind}
     return _result(sub, mode, "node-profile", _exact_triples(lg), **fields)
 
 
@@ -187,20 +190,6 @@ def cp_similarity_matrix(cps: Sequence[Sequence[float]]) -> np.ndarray:
     out[flat] = out[:, flat] = 0.0
     np.fill_diagonal(out, 1.0)
     return out
-
-
-def write_importance_csv(out, importance: Sequence[float]) -> None:
-    """CSV rows "motif_id,importance"."""
-    out.write("motif_id,importance\n")
-    for t, value in enumerate(importance, start=1):
-        out.write(f"{t},{value:.17g}\n")
-
-
-def write_similarity_csv(out, labels: Sequence[str], matrix: np.ndarray) -> None:
-    """Square correlation matrix with a label header column."""
-    out.write("label," + ",".join(labels) + "\n")
-    for label, row in zip(labels, matrix):
-        out.write(label + "," + ",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def conditional_entropy(

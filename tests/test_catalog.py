@@ -12,10 +12,9 @@ from mochy import (
     count_state_motifs,
     enumerate_catalog,
     is_valid_pattern,
-    region_cardinalities,
     ternary_refinement_map,
 )
-from mochy.catalog import region_subsets
+from mochy.catalog import region_cardinalities, region_subsets
 
 from conftest import (
     oracle_connected,
@@ -85,7 +84,12 @@ class TestEnumerate:
         assert len(enumerate_catalog(arity, states)) == expected
 
     def test_six_open_binary_motifs(self):
-        assert sum(enumerate_catalog(3, 2).open_flags) == 6
+        cat = enumerate_catalog(3, 2)
+        assert sum(cat.open_flags) == 6
+        assert [cat.is_open(t) for t in cat.ids] == list(cat.open_flags)
+        for motif_id in (0, -3, 27):
+            with pytest.raises(IndexError, match=f"^motif id {motif_id} lies outside 1..26$"):
+                cat.is_open(motif_id)
 
     def test_ids_follow_lexicographic_order(self):
         cat = enumerate_catalog(3, 2)

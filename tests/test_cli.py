@@ -26,13 +26,22 @@ from mochy import (
     MotifMode,
     NullModelConfig,
     build_line_graph,
+    characteristic_profile,
     count_exact,
+    count_otf,
+    count_sample_hyperedge,
+    count_sample_hyperwedge,
     dump_hypergraph,
     enumerate_instances,
+    hyperedge_profile,
     load_hypergraph_path,
+    node_profile,
     null_counts,
+    randomize_chung_lu,
+    significance,
 )
 from mochy.cli import _validate, _write_rows, build_parser, main
+from mochy.linegraph import dump_line_graph
 
 from conftest import random_hypergraph
 
@@ -233,14 +242,19 @@ class TestMisc:
                      "--seed", "5", "--out", prefix]) == 0
         replicates = []
 
-        def counter(h_rand, rng):
+        def dump(h_rand):
             text = io.StringIO()
             dump_hypergraph(h_rand, text)
-            replicates.append(text.getvalue())
+            return text.getvalue()
+
+        def counter(h_rand, rng):
+            replicates.append(dump(h_rand))
             return count_exact(h_rand, build_line_graph(h_rand))
 
-        null_counts(load_hypergraph_path(twelve_file), counter, NullModelConfig(2, 5))
-        assert [Path(f"{prefix}.{rep}.txt").read_text() for rep in range(2)] == replicates
+        h = load_hypergraph_path(twelve_file)
+        null_counts(h, counter, NullModelConfig(2, 5))
+        written = [Path(f"{prefix}.{rep}.txt").read_text() for rep in range(2)]
+        assert written == replicates == [dump(randomize_chung_lu(h, 5, rep)) for rep in range(2)]
 
     def test_profile_node(self, chain_file, tmp_path):
         out = str(tmp_path / "np.csv")
@@ -306,6 +320,95 @@ class TestMisc:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"mochy: error: {message}\n"
+
+
+def _columns(cv, **columns):
+    """A count vector as --json reads: its meta, then one list per motif column."""
+    return {"meta": cv.meta, "count": cv.counts, **{k: list(v) for k, v in columns.items()}}
+
+
+def _cp(h, seed):
+    counts = count_sample_hyperwedge(h, build_line_graph(h), 30, seed)
+
+    def replicate_counter(h_rand, rng):
+        lg = build_line_graph(h_rand)
+        return count_sample_hyperwedge(h_rand, lg, 30, rng.randrange(1 << 62))
+
+    null, _ = null_counts(h, replicate_counter, NullModelConfig(replicates=3, seed=seed))
+    sig = significance(counts, null)
+    cp = characteristic_profile(sig).cp
+    return _columns(counts, null_count=null.counts, delta=sig.delta, cp=cp)
+
+
+def _stats(h, seed):
+    lg = build_line_graph(h)
+    text = io.StringIO()
+    dump_line_graph(lg, text)
+    return {
+        "num_nodes": h.num_nodes,
+        "num_edges": h.num_edges,
+        "incidences": h.total_incidences(),
+        "max_edge_size": int(np.diff(h.edge_ptr).max()),
+        "num_wedges": lg.wedge_count,
+        "max_line_degree": int(np.diff(lg.indptr).max()),
+        "linegraph": text.getvalue(),
+    }
+
+
+def _label(h, label):
+    return int(np.flatnonzero(h.node_labels == label)[0])
+
+
+def _sampled(sample):
+    return lambda h, seed: _columns(sample(h, build_line_graph(h), 30, seed))
+
+
+def _otf(variant):
+    return lambda h, seed: _columns(
+        count_otf(h, 30, int(0.5 * h.line_degrees.sum()), seed, variant)
+    )
+
+
+SAMPLED = ["-r", "30", "--seed", "{seed}"]
+
+# command -> its options ({seed} is the seed, {lg} a file) and the library
+# calls that give its --json values at that seed; profile-node and
+# profile-edge take no seed and use it as the node label and edge index
+EQUIVALENCES = {
+    "count-exact": (["count"], lambda h, seed: _columns(count_exact(h, build_line_graph(h)))),
+    "count-edge-sample": (["count", "--algo", "edge-sample", *SAMPLED],
+                          _sampled(count_sample_hyperedge)),
+    "count-wedge-sample": (["count", "--algo", "wedge-sample", *SAMPLED],
+                           _sampled(count_sample_hyperwedge)),
+    "count-otf-basic": (["count", "--algo", "otf-basic", "--budget", "0.5", *SAMPLED],
+                        _otf("basic")),
+    "count-otf-advanced": (["count", "--algo", "otf-advanced", "--budget", "0.5", *SAMPLED],
+                           _otf("advanced")),
+    "cp": (["cp", "--algo", "wedge-sample", "--replicates", "3", *SAMPLED], _cp),
+    "profile-node": (["profile-node", "--node", "{seed}"],
+                     lambda h, seed: _columns(node_profile(h, _label(h, seed)))),
+    "profile-edge": (["profile-edge", "--edge", "{seed}"],
+                     lambda h, seed: _columns(hyperedge_profile(h, build_line_graph(h), seed))),
+    "stats": (["stats", "--linegraph-out", "{lg}"], _stats),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("command", EQUIVALENCES)
+def test_library_reproduces_the_command(command, seed, twelve_file, tmp_path):
+    options, library = EQUIVALENCES[command]
+    out, lg_out = tmp_path / "out.json", tmp_path / "lg.csv"
+    argv = [option.format(seed=seed, lg=lg_out) for option in options]
+    assert main([argv[0], twelve_file, *argv[1:], "--json", "--out", str(out)]) == 0
+    document = json.loads(out.read_text())
+    if "meta" in document:
+        (rows,) = (value for key, value in document.items() if key != "meta")
+        document = {"meta": document["meta"], **{
+            key: [row[key] for row in rows] for key in rows[0] if key not in ("id", "pattern")
+        }}
+    else:
+        document["linegraph"] = lg_out.read_text()
+    assert document == library(load_hypergraph_path(twelve_file), seed)
 
 
 class TestWriteRows:

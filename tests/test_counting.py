@@ -40,6 +40,10 @@ class TestExact:
         cv = count_exact(chain3, build_line_graph(chain3))
         assert cv.total() == 1
         assert cv.nonzero() == {18: 1.0}
+        assert (cv[18], cv[1], cv[26]) == (1, 0, 0)
+        for motif_id in (0, -1, 27):
+            with pytest.raises(IndexError, match=f"^motif id {motif_id} lies outside 1..26$"):
+                cv[motif_id]
 
     def test_disjoint_all_zero(self, disjoint3):
         cv = count_exact(disjoint3, build_line_graph(disjoint3))
@@ -392,4 +396,5 @@ class TestMeta:
         h = load_hypergraph(io.StringIO(golden_input()))
         meta = node_profile(h, 8, kind).meta
         assert list(meta) == ["algorithm", "num_edges", "num_wedges", "node", "ego_kind", "triples"]
-        assert (meta["algorithm"], meta["node"], meta["ego_kind"]) == ("node-profile", 8, kind)
+        # node id 8 has input label 4; meta records the label
+        assert (meta["algorithm"], meta["node"], meta["ego_kind"]) == ("node-profile", 4, kind)

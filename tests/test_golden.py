@@ -87,10 +87,10 @@ GOLDEN = {
         ["profile-edge", "--edge", "3"],
         "ab632f544daf0c911505423db007c5f4d8d5e95db4129a64a0e5ee904e6ffd76",
     ),
-    # meta keys: algorithm, num_edges, num_wedges, node, ego_kind, triples
+    # meta keys: algorithm, num_edges, num_wedges, node (the label given), ego_kind, triples
     "profile-node-json": (
         ["profile-node", "--node", "4", "--json"],
-        "4ff880a52f13c17143dfc134c85a8cfb18b7677f4d1d8036f5a546b5bcf79c50",
+        "4251fa898d949e73959d8dc8436bbc76ebddb7a9904bec5957596041cd1cd042",
     ),
     # --json carries each engine's meta, so its keys and their order are pinned
     "exact-json": (

@@ -9,15 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mochy import (
+from mochy import build_line_graph, from_edge_sets, linegraph
+from mochy.linegraph import (
     MemoizedNeighborStore,
-    build_line_graph,
-    from_edge_sets,
+    csv_rows,
+    dump_line_graph,
     hyperedge_degrees,
     hyperedge_neighbors,
 )
-from mochy import linegraph
-from mochy.linegraph import csv_rows, dump_line_graph
 
 from conftest import edge_sets, random_hypergraph
 

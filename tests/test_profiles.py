@@ -451,29 +451,6 @@ class TestSimilarityMatrix:
             cp_similarity_matrix([[1.0, 2.0]])
 
 
-class TestExports:
-    def test_importance_csv(self):
-        import io
-
-        from mochy.profiles import write_importance_csv
-
-        buf = io.StringIO()
-        write_importance_csv(buf, (0.5, 1.0))
-        assert buf.getvalue() == "motif_id,importance\n1,0.5\n2,1\n"
-
-    def test_similarity_csv(self):
-        import io
-
-        from mochy.profiles import write_similarity_csv
-
-        m = cp_similarity_matrix([[0.1, 0.9], [0.9, 0.1]])
-        buf = io.StringIO()
-        write_similarity_csv(buf, ["a", "b"], m)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "label,a,b"
-        assert lines[1].startswith("a,1,")
-
-
 class TestConditionalEntropy:
     def test_single_refinement_is_zero(self):
         refinement = {1: 1, 2: 1, 3: 2}

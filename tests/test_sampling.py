@@ -16,10 +16,10 @@ from mochy import (
     count_sample_hyperwedge,
     estimator_variance,
     from_edge_sets,
-    hyperedge_degrees,
     pair_overlap_stats,
 )
 from mochy import linegraph
+from mochy.linegraph import hyperedge_degrees
 
 from conftest import random_hypergraph
 

@@ -14,21 +14,19 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-# mochy.__all__ as the eager imports defined it: 50 names and 6 submodules
+# mochy.__all__: 44 names and 6 submodules
 ALL = [
     "BINARY", "CharacteristicProfile", "CountVector", "EgoNetwork", "EmptyInputError",
-    "Hypergraph", "LineGraph", "MemoizedNeighborStore", "MotifCatalog", "MotifMode",
-    "NullModelConfig", "PairOverlapStats", "ParseError", "SignificanceVector", "TERNARY",
-    "build_line_graph", "canonicalize", "catalog", "characteristic_profile", "classify",
-    "conditional_entropy", "count_exact", "count_otf", "count_sample_hyperedge",
-    "count_sample_hyperwedge", "count_state_motifs", "counting", "cp_similarity_matrix",
-    "dump_hypergraph", "ego_network", "enumerate_catalog", "enumerate_instances",
-    "estimator_variance", "from_edge_sets", "hyperedge_degrees", "hyperedge_neighbors",
-    "hyperedge_profile", "hypergraph", "is_valid_pattern", "linegraph", "load_hypergraph",
-    "load_hypergraph_path", "motif_importance", "node_profile", "null_counts", "nullmodel",
-    "pair_overlap_stats", "profiles", "randomize_chung_lu", "recommend_samples",
-    "region_cardinalities", "relative_counts", "significance", "ternary_refinement_map",
-    "write_importance_csv", "write_similarity_csv",
+    "Hypergraph", "LineGraph", "MotifCatalog", "MotifMode", "NullModelConfig",
+    "PairOverlapStats", "ParseError", "SignificanceVector", "TERNARY", "build_line_graph",
+    "canonicalize", "catalog", "characteristic_profile", "classify", "conditional_entropy",
+    "count_exact", "count_otf", "count_sample_hyperedge", "count_sample_hyperwedge",
+    "count_state_motifs", "counting", "cp_similarity_matrix", "dump_hypergraph",
+    "ego_network", "enumerate_catalog", "enumerate_instances", "estimator_variance",
+    "from_edge_sets", "hyperedge_profile", "hypergraph", "is_valid_pattern", "linegraph",
+    "load_hypergraph", "load_hypergraph_path", "motif_importance", "node_profile",
+    "null_counts", "nullmodel", "pair_overlap_stats", "profiles", "randomize_chung_lu",
+    "recommend_samples", "relative_counts", "significance", "ternary_refinement_map",
 ]
 
 
