@@ -1,10 +1,10 @@
 """Command-line front end: load -> line graph -> count/profile pipelines.
 
-COMMANDS lists the commands and the options each one takes, which are
-only those its runs read. Every run emits a manifest (flags, seed, elapsed
-time, output checksums) sufficient to reproduce its outputs bit-for-bit. Counts and profiles are
-written as CSV by default or JSON with --json; integers are written exactly
-and floats carry 17 significant digits.
+COMMANDS lists the commands and the options each one takes, which are only
+those its runs read. Every run emits a manifest (the input's checksum, every
+option, elapsed time, output checksums) sufficient to reproduce its outputs
+bit-for-bit. Counts and profiles are written as CSV by default or JSON with
+--json; integers are written exactly and floats carry 17 significant digits.
 """
 
 from __future__ import annotations
@@ -99,7 +99,9 @@ def _run(args) -> int:
             "input": source,
             "input_sha256": digest,
             "input_bytes": size,
-            **_option_fields(args),
+            # every parsed option but the handler, its parser and the two above
+            "options": {k: v for k, v in vars(args).items()
+                        if k not in ("func", "parser", "command", "input")},
             "elapsed_seconds": time.perf_counter() - start,
             "outputs": {path: _sha256(temp) for path, temp in staged.items()},
             "version": __version__,
@@ -163,38 +165,13 @@ def _write_file(path: str, write) -> None:
     out.close()
 
 
-# The manifest field of each option whose name differs from its attribute
-_FIELD_ATTRS = {"algorithm": "algo", "workers": "threads"}
-
-
-def _option_fields(args) -> dict:
-    """The manifest's ten option fields. Each holds its option's value where
-    the command has the option and the run reads it, and None otherwise:
-    seed for a sampling algorithm or the null model's replicates (cp,
-    randomize), samples for a sampling algorithm, budget for otf-*, variant
-    for ternary motifs, theta for abs and p for mr and hr-*."""
-    algo = getattr(args, "algo", None)
-    variant = args.variant if getattr(args, "motifs", None) == "ternary" else None
-    read = {
-        **dict.fromkeys(("algorithm", "workers", "replicates", "motifs"), True),
-        "seed": algo != "exact" or hasattr(args, "replicates"),
-        "samples": algo != "exact",
-        "budget": str(algo).startswith("otf-"),
-        "variant": variant is not None,
-        "theta": variant == "abs",
-        "p": variant not in (None, "abs"),
-    }
-    return {
-        name: getattr(args, _FIELD_ATTRS.get(name, name), None) if on else None
-        for name, on in read.items()
-    }
-
-
 def _mode_from_args(args) -> MotifMode:
-    fields = _option_fields(args)
-    kind, _, sigma = (fields["variant"] or "binary").partition("-")
-    options = {name: fields[name] for name in ("theta", "p") if fields[name] is not None}
-    return MotifMode(kind, sigma=sigma or "mean", **options)
+    """The motif mode; theta is read by abs only, p by mr and hr-* only."""
+    if args.motifs == "binary":
+        return MotifMode()
+    kind, _, sigma = args.variant.partition("-")
+    threshold = {"theta": args.theta} if kind == "abs" else {"p": args.p}
+    return MotifMode(kind, sigma=sigma or "mean", **threshold)
 
 
 def _motif_rows(catalog, **columns) -> list[dict]:
@@ -462,8 +439,7 @@ def _validate(args) -> None:
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             parser.error(f"--{name} must be finite")
-    p = _option_fields(args)["p"]
-    if p is not None and not 0 < p < 1:
+    if getattr(args, "motifs", "") == "ternary" and args.variant != "abs" and not 0 < args.p < 1:
         parser.error("--p must lie in (0, 1)")
     if args.command == "cp" and args.epsilon <= 0:
         parser.error("--epsilon must be positive")

@@ -68,6 +68,9 @@ class CountVector:
     def __len__(self) -> int:
         return len(self.counts)
 
+    def __iter__(self):
+        return iter(self.counts)
+
     def total(self) -> float:
         return sum(self.counts)
 

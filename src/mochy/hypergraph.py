@@ -165,10 +165,10 @@ def from_pairs(rows, labels) -> Hypergraph:
     rank -= 1
     label_at = np.empty(len(rows), dtype=np.int32)
     label_at[order] = rank
-    del order, new, rank
+    del rank
     # ids by first appearance: (first row holding the label, label) ascending
-    first_row = np.full(n, rows.max(), dtype=np.int64)
-    np.minimum.at(first_row, label_at, rows)
+    first_row = np.minimum.reduceat(rows[order], np.flatnonzero(new)).astype(np.int64)
+    del order, new
     first_row *= n
     first_row += np.arange(n)
     by_id = np.argsort(first_row)

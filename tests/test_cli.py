@@ -43,9 +43,10 @@ from mochy import (
 from mochy.cli import _validate, _write_rows, build_parser, main
 from mochy.linegraph import dump_line_graph
 
-from conftest import random_hypergraph
+from conftest import TWELVE_EDGES, random_hypergraph
 
 CHAIN = "1 2 3\n2 3 4\n3 4 5\n"
+TWELVE = "".join(" ".join(map(str, sorted(e))) + "\n" for e in TWELVE_EDGES)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -58,12 +59,8 @@ def chain_file(tmp_path):
 
 @pytest.fixture
 def twelve_file(tmp_path):
-    from conftest import TWELVE_EDGES
-
     path = tmp_path / "twelve.txt"
-    path.write_text(
-        "\n".join(" ".join(str(v) for v in sorted(e)) for e in TWELVE_EDGES) + "\n"
-    )
+    path.write_text(TWELVE)
     return str(path)
 
 
@@ -527,10 +524,14 @@ class TestOutOfRangeInputs:
         assert main(["count", chain_file, "--motifs", "ternary", "--variant", "abs", "--p", "0"]) == 0
 
 
-def _subcommands():
+def _subparsers() -> dict:
     parser = build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return list(sub.choices)
+    return sub.choices
+
+
+def _subcommands():
+    return list(_subparsers())
 
 
 # One run per subcommand: argv with {in} for the input file and {out} for
@@ -572,33 +573,43 @@ def _argv(command, tmp_path, text):
     return [a.format(**paths) for a in argv], [f.format(**paths) for f in extra]
 
 
-# The manifest's ten option fields per run of RUNS: None where the command
-# has no such option or the run does not read it. The seed is read by a
-# sampling algorithm and by the null model's replicates (cp, randomize).
-BINARY_FIELDS = {"motifs": "binary", "variant": None, "theta": None, "p": None}
-NO_FIELDS = dict.fromkeys([
-    "algorithm", "workers", "seed", "replicates", "samples", "budget", *BINARY_FIELDS,
-])
-MODE_FIELDS = {**NO_FIELDS, **BINARY_FIELDS}
-OPTION_FIELDS = {
-    "count": {**MODE_FIELDS, "algorithm": "exact", "workers": 1},
-    "cp": {**MODE_FIELDS, "algorithm": "exact", "workers": 1, "seed": 0, "replicates": 1},
-    "enumerate": {**MODE_FIELDS, "workers": 1},
-    "randomize": {**NO_FIELDS, "seed": 0, "replicates": 2},
-    "catalog": NO_FIELDS,
-    "profile-node": MODE_FIELDS,
-    "profile-edge": MODE_FIELDS,
-    "recommend-samples": NO_FIELDS,
-    "stats": NO_FIELDS,
-    "convert": NO_FIELDS,
-}
-
-
 MANIFEST_KEYS = {
-    "command", "input", "input_sha256", "input_bytes", "algorithm", "samples",
-    "budget", "workers", "seed", "motifs", "variant", "theta", "p", "replicates",
-    "elapsed_seconds", "outputs", "version",
+    "command", "input", "input_sha256", "input_bytes", "options", "elapsed_seconds",
+    "outputs", "version",
 }
+# Parsed attributes the manifest's options leave out
+NOT_OPTIONS = {"func", "parser", "command", "input"}
+
+
+def _manifest(argv, extra) -> dict:
+    """The manifest a run of argv wrote: beside randomize's first replicate,
+    else beside --out."""
+    anchor = extra[0] if argv[0] == "randomize" else argv[argv.index("--out") + 1]
+    return json.loads(Path(anchor + ".manifest.json").read_text())
+
+
+def _replay_argv(manifest) -> list[str]:
+    """The command line a manifest records: its command and input, then each
+    of its options as the option string of the subparser action that stores
+    it (a store_true flag only when set, an option holding None not at all)."""
+    options = dict(manifest["options"])
+    argv = [manifest["command"], *([manifest["input"]] if manifest["input"] else [])]
+    for action in _subparsers()[manifest["command"]]._actions:
+        value = options.pop(action.dest, None)
+        if value is True:
+            argv.append(action.option_strings[-1])
+        elif value is not None and value is not False:
+            argv += [action.option_strings[-1], str(value)]
+    assert not options, f"options no action stores: {options}"
+    return argv
+
+
+def _rerun(manifest) -> None:
+    """Delete the outputs a manifest vouches for, then run its command line
+    again."""
+    for path in manifest["outputs"]:
+        os.remove(path)
+    assert main(_replay_argv(manifest)) == 0
 
 
 class TestManifest:
@@ -606,42 +617,75 @@ class TestManifest:
     def test_has_the_same_keys_for_every_command(self, command, tmp_path):
         argv, extra = _argv(command, tmp_path, CHAIN)
         assert main(argv) == 0
-        anchor = extra[0] if command == "randomize" else argv[argv.index("--out") + 1]
-        manifest = json.loads(Path(anchor + ".manifest.json").read_text())
+        manifest = _manifest(argv, extra)
         assert set(manifest) == MANIFEST_KEYS
 
     @pytest.mark.parametrize("command", _subcommands())
-    def test_mode_fields_only_where_they_apply(self, command, tmp_path):
+    def test_options_are_every_parsed_option(self, command, tmp_path):
         argv, extra = _argv(command, tmp_path, CHAIN)
         assert main(argv) == 0
-        anchor = extra[0] if command == "randomize" else argv[argv.index("--out") + 1]
-        manifest = json.loads(Path(anchor + ".manifest.json").read_text())
-        assert {key: manifest[key] for key in NO_FIELDS} == OPTION_FIELDS[command]
+        parsed = vars(build_parser().parse_args(argv))
+        expected = {k: v for k, v in parsed.items() if k not in NOT_OPTIONS}
+        assert _manifest(argv, extra)["options"] == expected
 
-    @pytest.mark.parametrize("flags, fields", [
-        (["--variant", "mr", "--p", "0.3", "--theta", "2"], BINARY_FIELDS),
-        (["--motifs", "ternary", "--theta", "2", "--p", "0.3"],
-         {"motifs": "ternary", "variant": "abs", "theta": 2, "p": None}),
-        (["--motifs", "ternary", "--variant", "mr", "--p", "0.3", "--theta", "2"],
-         {"motifs": "ternary", "variant": "mr", "theta": None, "p": 0.3}),
-        (["--motifs", "ternary", "--variant", "hr-mean"],
-         {"motifs": "ternary", "variant": "hr-mean", "theta": None, "p": 0.5}),
-        # samples only for a sampling algorithm, budget only for otf-*
-        (["--algo", "exact", "-r", "5", "--budget", "0.3"], {"samples": None, "budget": None}),
-        (["--algo", "wedge-sample", "-r", "5", "--budget", "0.3"],
-         {"samples": 5, "budget": None}),
-        (["--algo", "otf-basic", "-r", "5", "--budget", "0.3"], {"samples": 5, "budget": 0.3}),
-        # the seed only for a sampling algorithm
-        (["--algo", "exact", "--seed", "9"], {"algorithm": "exact", "seed": None}),
-        (["--algo", "wedge-sample", "-r", "5", "--seed", "9", "--threads", "2"],
-         {"algorithm": "wedge-sample", "seed": 9, "workers": 2}),
+    @pytest.mark.parametrize("command", _subcommands())
+    def test_rerun_from_the_manifest_reproduces_every_output(self, command, tmp_path):
+        argv, extra = _argv(command, tmp_path, CHAIN)
+        assert main(argv) == 0
+        recorded = _manifest(argv, extra)
+        _rerun(recorded)
+        rerun = _manifest(argv, extra)
+        del recorded["elapsed_seconds"], rerun["elapsed_seconds"]
+        assert rerun == recorded
+
+    # Each option changes the output on the input used, TWELVE (CHAIN for
+    # convert, whose nverts file counts CHAIN's nine labels); {alt} is a
+    # second member stream of nine labels.
+    @pytest.mark.parametrize("command, flags", [
+        ("count", ["--json"]),
+        ("cp", ["--epsilon", "2"]),
+        ("profile-node", ["--node", "2"]),
+        ("profile-node", ["--kind", "star"]),
+        ("profile-edge", ["--edge", "0"]),
+        ("catalog", ["--arity", "2"]),
+        ("catalog", ["--states", "3"]),
+        ("recommend-samples", ["--count", "20"]),
+        ("stats", ["--json"]),
+        ("convert", ["--simplices", "{alt}"]),
     ])
-    def test_mode_fields_follow_the_motif_mode(self, flags, fields, tmp_path):
-        argv, _ = _argv("count", tmp_path, CHAIN)
-        assert main([*argv, *flags]) == 0
-        out = argv[argv.index("--out") + 1]
-        manifest = json.loads(Path(out + ".manifest.json").read_text())
-        assert {key: manifest[key] for key in fields} == fields
+    def test_each_option_is_recorded_and_replays(self, command, flags, tmp_path):
+        argv, extra = _argv(command, tmp_path, CHAIN if command == "convert" else TWELVE)
+        alt = tmp_path / "in" / "alt.txt"
+        alt.write_text("5 4 3\n4 3 2\n3 2 1\n")
+        changed_argv = [*argv, *(flag.format(alt=alt) for flag in flags)]
+        assert main(argv) == 0
+        base = _manifest(argv, extra)
+        assert main(changed_argv) == 0
+        changed = _manifest(changed_argv, extra)
+        assert changed["outputs"] != base["outputs"]
+
+        def given(manifest):  # all but what the run measured and wrote
+            return {k: v for k, v in manifest.items() if k not in ("elapsed_seconds", "outputs")}
+
+        assert given(changed) != given(base)
+        _rerun(changed)
+        assert _manifest(argv, extra)["outputs"] == changed["outputs"]
+
+    @pytest.mark.parametrize("flags, same_as", [
+        (["--motifs", "binary", "--variant", "mr", "--p", "0.3", "--theta", "2"], []),
+        (["--motifs", "ternary", "--variant", "mr", "--theta", "7"],
+         ["--motifs", "ternary", "--variant", "mr", "--theta", "1"]),
+        (["--motifs", "ternary", "--variant", "abs", "--p", "0.9"],
+         ["--motifs", "ternary", "--variant", "abs"]),
+    ])
+    def test_options_the_run_does_not_read_change_no_output(self, flags, same_as,
+                                                             twelve_file, tmp_path):
+        written = []
+        for n, options in enumerate((flags, same_as)):
+            out = tmp_path / f"{n}.csv"
+            assert main(["count", twelve_file, *options, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("command", _subcommands())
     def test_every_command_vouches_for_what_it_wrote(self, command, tmp_path):
@@ -651,7 +695,8 @@ class TestManifest:
         written = extra if command == "randomize" else [out, *extra]
         manifest = json.loads(Path(written[0] + ".manifest.json").read_text())
         assert manifest["command"] == command
-        assert manifest["workers"] == OPTION_FIELDS[command]["workers"]
+        threaded = command in ("count", "cp", "enumerate")
+        assert manifest["options"].get("threads") == (1 if threaded else None)
         assert manifest["elapsed_seconds"] > 0
         assert set(manifest["outputs"]) == set(written)
         for path in written:
@@ -663,8 +708,7 @@ class TestManifest:
     def test_records_the_input_checksum_and_size(self, command, tmp_path):
         argv, extra = _argv(command, tmp_path, CHAIN)
         assert main(argv) == 0
-        anchor = extra[0] if command == "randomize" else argv[argv.index("--out") + 1]
-        manifest = json.loads(Path(anchor + ".manifest.json").read_text())
+        manifest = _manifest(argv, extra)
         source = getattr(build_parser().parse_args(argv), "input", None)
         if source is None:  # no input argument: catalog, recommend-samples, convert
             assert manifest["input_sha256"] is manifest["input_bytes"] is None

@@ -41,6 +41,8 @@ class TestExact:
         assert cv.total() == 1
         assert cv.nonzero() == {18: 1.0}
         assert (cv[18], cv[1], cv[26]) == (1, 0, 0)
+        assert list(cv) == cv.counts  # in id order
+        assert sum(cv) == cv.total()
         for motif_id in (0, -1, 27):
             with pytest.raises(IndexError, match=f"^motif id {motif_id} lies outside 1..26$"):
                 cv[motif_id]
